@@ -94,17 +94,26 @@ int
 main(int argc, char** argv)
 {
     bench::init(&argc, argv);
+    const char* usage =
+        "usage: bench_native_exec [--smoke] [--threads N] [--out FILE] "
+        "[--check]\n"
+        "  --out FILE    JSON output path (default BENCH_native.json)\n"
+        "  --check       exit 1 unless every run verifies against the "
+        "reference executor\n";
     std::string out_path = "BENCH_native.json";
     bool check = false;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
-        if (a == "--out") {
-            HT_FATAL_IF(i + 1 >= argc, "missing value for --out");
+        if (a == "--out" && i + 1 < argc) {
             out_path = argv[++i];
         } else if (a == "--check") {
             check = true;
+        } else if (a == "--help" || a == "-h") {
+            bench::exitUsage(usage);
+        } else if (a == "--out") {
+            bench::exitUsage(usage, "missing value for --out");
         } else {
-            HT_FATAL("unknown option '", a, "'");
+            bench::exitUsage(usage, "unknown option '" + a + "'");
         }
     }
 

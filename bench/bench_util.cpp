@@ -1,5 +1,6 @@
 #include "bench_util.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <iostream>
 
@@ -15,7 +16,21 @@ namespace {
 
 bool g_smoke = false;
 
+constexpr const char* kSharedUsage =
+    "shared bench flags:\n"
+    "  --smoke       one tiny synthetic matrix, full code path (CI)\n"
+    "  --threads N   thread-pool size, a positive integer\n";
+
 } // namespace
+
+void
+exitUsage(const std::string& usage, const std::string& message)
+{
+    if (!message.empty())
+        std::cerr << "error: " << message << "\n";
+    std::cerr << usage << kSharedUsage;
+    std::exit(2);
+}
 
 void
 init(int* argc, char** argv)
@@ -27,9 +42,14 @@ init(int* argc, char** argv)
             g_smoke = true;
         } else if (a == "--threads") {
             if (i + 1 >= *argc)
-                HT_FATAL("missing value for --threads");
-            ThreadPool::setGlobalThreads(static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10)));
+                exitUsage("", "missing value for --threads");
+            const std::string_view v = argv[++i];
+            unsigned n = 0;
+            auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
+            if (ec != std::errc() || end != v.data() + v.size() || n == 0)
+                exitUsage("", "bad value for --threads: '" + std::string(v) +
+                                  "'");
+            ThreadPool::setGlobalThreads(n);
         } else {
             argv[out++] = argv[i];
         }

@@ -26,10 +26,16 @@ namespace hottiles::bench {
  *   --smoke       tiny-synthetic-matrix mode for CI: every suite name
  *                 resolves to one small deterministic matrix so each
  *                 binary exercises its full code path in seconds.
- *   --threads N   thread-pool size (same as the CLI flag).
+ *   --threads N   thread-pool size (same as the CLI flag); anything
+ *                 but a positive integer is a usage error (exit 2).
  * Call first thing in main().
  */
 void init(int* argc, char** argv);
+
+/** Print @p message (when non-empty), @p usage and the shared flags to
+ *  stderr, then exit with status 2, the CLI's usage-error code. */
+[[noreturn]] void exitUsage(const std::string& usage,
+                            const std::string& message = "");
 
 /** True when --smoke was passed (benches may trim their sweeps). */
 bool smokeMode();

@@ -12,12 +12,18 @@
  * runtime on the only heterogeneous "accelerator" every host has:
  * a pool of CPU threads split into two roles.
  *
- * Determinism contract: every task (one row panel per class) writes a
- * disjoint row range of its class-private accumulator, and the final
- * merge combines the two class accumulators element-wise.  Results are
- * therefore bit-identical across thread counts, executor splits, queue
- * interleavings and steals — pinned by the NativeExecDeterminism suite
- * and, under the Golden policy, bit-identical to referenceExecute().
+ * Determinism contract: accumulation is panel-local.  A task (one row
+ * panel per class) of a panel its class owns alone writes the panel's
+ * output rows once, straight from the CSR kernel (cold) or through a
+ * tile_height x K slot buffer and one cast (hot).  A panel both classes
+ * own is a join: the first task to finish parks its partial and the
+ * last writes Value(hot + cold).  No other two tasks share output rows,
+ * so results are bit-identical across thread counts, executor splits,
+ * queue interleavings and steals — pinned by the NativeExecDeterminism
+ * suite.  Under the Golden policy they are bit-identical to
+ * referenceExecute(), because every golden chain starts at +0.0 over
+ * exact products (so a storing kernel equals Value(0.0 + chain)) and
+ * IEEE addition commutes (so the join's order does not matter).
  */
 
 #include <memory>
@@ -96,8 +102,11 @@ struct ExecReport
     unsigned threads = 0;        //!< pool parallelism used
     unsigned hot_executors = 0;  //!< slots serving the hot queue
     unsigned cold_executors = 0;
-    double prepare_s = 0;        //!< format build (work lists, CSR)
-    double wall_s = 0;           //!< parallel execution wall time
+    /** Set-up before the parallel region: the class work lists, task
+     *  descriptors and panel-buffer allocation.  Cold row pointers are
+     *  built inside the tasks and count toward wall_s. */
+    double prepare_s = 0;
+    double wall_s = 0;           //!< output allocation + parallel tasks
     double gflops = 0;           //!< kernel FLOPs / wall_s
     size_t requeued_tasks = 0;   //!< fail-stop migrations to survivor
     bool class_failed = false;   //!< a fault fail-stop triggered

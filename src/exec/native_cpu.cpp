@@ -5,15 +5,24 @@
  *
  *  - The unit of scheduling is one row panel per class.  A hot task runs
  *    the panel's hot tiles in tile-column order through the streaming
- *    COO kernels; a cold task runs the panel's merged cold nonzeros as
- *    one untiled local CSR through the row-traversal kernels.
+ *    COO kernels; a cold task builds the panel's local CSR row pointers
+ *    and runs its merged cold nonzeros through the row-traversal
+ *    kernels.
  *  - The pool's T threads become T executor slots split between the two
  *    classes.  Each slot pops its own class queue from the front and,
  *    once that drains, steals from the other queue's tail.
- *  - Each task writes a disjoint row range of a class-private
- *    accumulator; the two accumulators merge element-wise at the end.
- *    Under the Golden policy that makes the result bit-identical to
- *    referenceExecute() for any thread count, split or interleaving.
+ *  - Accumulation is panel-local.  A panel one class owns alone is
+ *    written once into the output by its task: cold through the storing
+ *    CSR kernel, hot through a tile_height x K slot buffer and one cast
+ *    (Fast: straight into the zeroed output rows).  A panel both classes
+ *    own is a join: the first task to finish parks its partial, and the
+ *    last one merges both into the output (finishJoin).  No two tasks
+ *    write the same output row outside a join, so the result does not
+ *    depend on thread count, split or interleaving.  Under the Golden
+ *    policy it is bit-identical to referenceExecute() because every
+ *    golden chain starts at +0.0 over exact products (a storing kernel
+ *    equals Value(0.0 + chain)) and IEEE addition commutes (a join's
+ *    Value(h + c) does not depend on which class finished last).
  *
  * Fault fail-stop: once the failed class's own executors complete the
  * configured number of tasks, its remaining queue is spliced onto the
@@ -29,7 +38,9 @@
 #include <cmath>
 #include <deque>
 #include <mutex>
+#include <type_traits>
 
+#include "common/aligned.hpp"
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/thread_pool.hpp"
@@ -45,6 +56,9 @@ using kernels::CsrView;
 using kernels::KernelOps;
 using kernels::Policy;
 
+/** Join index of a panel that one class owns alone. */
+constexpr uint32_t kNoJoin = UINT32_MAX;
+
 /** A hot task: one panel's hot tiles (index into TiledWork). */
 struct HotTask
 {
@@ -52,6 +66,7 @@ struct HotTask
     size_t work = 0;   //!< index into TiledWork::panel_tiles
     size_t nnz = 0;
     size_t unit0 = 0;  //!< first slot in the per-tile time vector
+    uint32_t join = kNoJoin;  //!< the panel's join when cold owns it too
 };
 
 /** A cold task: one panel's merged cold nonzeros as a local CSR. */
@@ -59,11 +74,9 @@ struct ColdTask
 {
     Index panel = 0;
     size_t work = 0;  //!< index into UntiledWork::panels
-    Index row0 = 0;
-    Index height = 0;
     size_t nnz = 0;
     size_t tiles = 0;  //!< cold tiles merged into this panel
-    std::vector<size_t> row_ptr;  //!< height + 1, local rows
+    uint32_t join = kNoJoin;  //!< the panel's join when hot owns it too
 };
 
 struct Task
@@ -123,6 +136,7 @@ struct ExecPlan
     std::vector<ColdTask> cold_tasks;
     size_t hot_tiles = 0;
     size_t cold_tiles = 0;
+    uint32_t joins = 0;  //!< panels both classes own
 };
 
 void validate(const TileGrid& grid, const Partition& p,
@@ -138,6 +152,27 @@ void validate(const TileGrid& grid, const Partition& p,
     HT_FATAL_IF(din.rows() != grid.matrixCols() || din.cols() != kernel.k,
                 "native exec: dense input must be ", grid.matrixCols(), " x ",
                 kernel.k, ", got ", din.rows(), " x ", din.cols());
+}
+
+/** First row and height of row panel @p panel. */
+std::pair<Index, Index> panelRows(const TileGrid& grid, Index panel)
+{
+    const Index row0 = panel * grid.tileHeight();
+    return {row0, std::min(grid.tileHeight(), grid.matrixRows() - row0)};
+}
+
+/** Local CSR row pointers (height + 1) of a cold panel, whose nonzeros
+ *  are row-major sorted. */
+void buildRowPtr(const PanelWork& pw, Index row0, Index height,
+                 size_t* row_ptr)
+{
+    size_t i = 0;
+    for (Index r = 0; r < height; ++r) {
+        row_ptr[r] = i;
+        while (i < pw.rows.size() && pw.rows[i] == row0 + r)
+            ++i;
+    }
+    row_ptr[height] = i;
 }
 
 ExecPlan preparePlan(const TileGrid& grid, const Partition& p)
@@ -166,22 +201,29 @@ ExecPlan preparePlan(const TileGrid& grid, const Partition& p)
         ColdTask ct;
         ct.panel = pw.panel;
         ct.work = i;
-        ct.row0 = Index(pw.panel) * grid.tileHeight();
-        ct.height = std::min(grid.tileHeight(), grid.matrixRows() - ct.row0);
         ct.nnz = pw.rows.size();
         auto [tb, te] = grid.panelTiles(pw.panel);
         for (size_t t = tb; t < te; ++t)
             if (!p.is_hot[t])
                 ++ct.tiles;
         plan.cold_tiles += ct.tiles;
-        // Local CSR over the panel's rows: counting sort of the already
-        // row-major-sorted nonzeros.
-        ct.row_ptr.assign(size_t(ct.height) + 1, 0);
-        for (Index r : pw.rows)
-            ++ct.row_ptr[size_t(r - ct.row0) + 1];
-        for (size_t r = 0; r < size_t(ct.height); ++r)
-            ct.row_ptr[r + 1] += ct.row_ptr[r];
-        plan.cold_tasks.push_back(std::move(ct));
+        plan.cold_tasks.push_back(ct);
+    }
+
+    // Both task lists ascend by panel; a panel in both is a join.
+    for (size_t h = 0, c = 0;
+         h < plan.hot_tasks.size() && c < plan.cold_tasks.size();) {
+        HotTask& ht = plan.hot_tasks[h];
+        ColdTask& ct = plan.cold_tasks[c];
+        if (ht.panel < ct.panel) {
+            ++h;
+        } else if (ct.panel < ht.panel) {
+            ++c;
+        } else {
+            ht.join = ct.join = plan.joins++;
+            ++h;
+            ++c;
+        }
     }
     return plan;
 }
@@ -234,60 +276,151 @@ struct SlotStats
     SlotClassStats cls[2];
 };
 
-/** Everything a task execution needs, shared across slots. */
+/** Uninitialized cache-line-aligned array: AlignedAllocator storage
+ *  without std::vector's zero-fill. */
+template <class T>
+class AlignedBuffer
+{
+  public:
+    explicit AlignedBuffer(size_t n)
+        : n_(n), p_(AlignedAllocator<T>().allocate(n))
+    {
+    }
+    ~AlignedBuffer() { AlignedAllocator<T>().deallocate(p_, n_); }
+    AlignedBuffer(const AlignedBuffer&) = delete;
+    AlignedBuffer& operator=(const AlignedBuffer&) = delete;
+
+    T* data() const { return p_; }
+
+  private:
+    size_t n_;
+    T* p_;
+};
+
+/**
+ * Everything a task execution needs, shared across slots.  Acc is the
+ * partial-sum type: double under Golden, Value under Fast.  A panel
+ * buffer holds one panel's partial, row-major with leading dimension k.
+ */
+template <class Acc>
 struct RunContext
 {
+    static constexpr bool kGolden = std::is_same_v<Acc, double>;
+
     const TileGrid* grid = nullptr;
     const ExecPlan* plan = nullptr;
     const KernelOps* ops = nullptr;
-    Policy policy = Policy::Golden;
     Index k = 1;
     const Value* din = nullptr;
-    double* hot_acc = nullptr;   //!< golden: rows x k
-    double* cold_acc = nullptr;
-    Value* hot_out = nullptr;    //!< fast: rows x k
-    Value* cold_out = nullptr;
+    Value* out = nullptr;  //!< rows x k, zero-filled
     bool collect = true;
     UnitTime* hot_units = nullptr;   //!< one per hot tile
     UnitTime* cold_units = nullptr;  //!< one per cold task
+    Acc* spares = nullptr;           //!< one panel buffer per join
+    size_t stride = 0;               //!< elements per panel buffer
+    std::atomic<Acc*>* parked = nullptr;  //!< per join: first partial
 };
 
-void runHotTask(const RunContext& rc, const HotTask& ht)
+/** One executor slot's scratch: its current panel buffer (golden hot
+ *  tasks and join cold tasks accumulate there) and cold row pointers. */
+template <class Acc>
+struct SlotScratch
+{
+    Acc* buf = nullptr;
+    std::vector<size_t> row_ptr;
+};
+
+/**
+ * Hand a finished join task's partial @p part to the panel's join.  The
+ * first finisher parks it; if @p part is the slot's buffer, the slot
+ * continues on the join's spare, so no partial is ever copied.  The
+ * last finisher writes Value(part + parked) over the panel's @p n
+ * output cells @p o.  IEEE addition commutes, so the bits do not depend
+ * on which class finished first.  Under Fast the hot partial is @p o
+ * itself and the sum updates it in place.
+ */
+template <class Acc>
+void finishJoin(const RunContext<Acc>& rc, SlotScratch<Acc>& slot,
+                uint32_t join, Acc* part, Value* o, size_t n)
+{
+    Acc* parked = nullptr;
+    if (rc.parked[join].compare_exchange_strong(parked, part,
+                                                std::memory_order_acq_rel,
+                                                std::memory_order_acquire)) {
+        if (part == slot.buf)
+            slot.buf = rc.spares + size_t(join) * rc.stride;
+        return;
+    }
+    for (size_t i = 0; i < n; ++i)
+        o[i] = Value(part[i] + parked[i]);
+}
+
+template <class Acc>
+void runHotTask(const RunContext<Acc>& rc, SlotScratch<Acc>& slot,
+                const HotTask& ht)
 {
     const TileGrid& grid = *rc.grid;
+    const auto [row0, height] = panelRows(grid, ht.panel);
+    const size_t n = size_t(height) * rc.k;
+    Value* o = rc.out + size_t(row0) * rc.k;
+    // Golden accumulates the panel in double scratch; Fast accumulates
+    // straight into its zeroed output rows.
+    Acc* part = slot.buf;
+    if constexpr (RunContext<Acc>::kGolden)
+        std::fill_n(part, n, 0.0);
+    else
+        part = o;
     size_t unit = ht.unit0;
     for (size_t tid : rc.plan->hot_w.panel_tiles[ht.work]) {
         const double t0 = rc.collect ? monotonicSeconds() : 0;
         const Tile& tl = grid.tile(tid);
         const CooView v{grid.tileRows(tid).data(), grid.tileCols(tid).data(),
                         grid.tileVals(tid).data(), tl.nnz};
-        if (rc.policy == Policy::Golden)
-            rc.ops->spmm_coo_golden(v, rc.k, rc.din, rc.hot_acc,
-                                    /*row_base=*/0, 0, tl.nnz);
+        if constexpr (RunContext<Acc>::kGolden)
+            rc.ops->spmm_coo_golden(v, rc.k, rc.din, part, row0, 0, tl.nnz);
         else
-            rc.ops->spmm_coo_fast(v, rc.k, rc.din, rc.hot_out, 0, tl.nnz);
+            rc.ops->spmm_coo_fast(v, rc.k, rc.din, rc.out, 0, tl.nnz);
         if (rc.collect)
             rc.hot_units[unit] = {uint32_t(tid), monotonicSeconds() - t0};
         ++unit;
     }
+    if (ht.join != kNoJoin)
+        finishJoin(rc, slot, ht.join, part, o, n);
+    else if constexpr (RunContext<Acc>::kGolden)
+        rc.ops->cvt_d2f(part, o, n);
 }
 
-void runColdTask(const RunContext& rc, const ColdTask& ct, size_t task_idx)
+template <class Acc>
+void runColdTask(const RunContext<Acc>& rc, SlotScratch<Acc>& slot,
+                 const ColdTask& ct, size_t task_idx)
 {
-    const double t0 = rc.collect ? monotonicSeconds() : 0;
+    const auto [row0, height] = panelRows(*rc.grid, ct.panel);
     const PanelWork& pw = rc.plan->cold_w.panels[ct.work];
-    const CsrView cv{ct.row_ptr.data(), pw.cols.data(), pw.vals.data(),
-                     ct.height};
-    const size_t base = size_t(ct.row0) * rc.k;
-    if (rc.policy == Policy::Golden)
-        rc.ops->spmm_csr_golden_acc(cv, rc.k, rc.din, rc.cold_acc + base, 0,
-                                    ct.height);
-    else
-        rc.ops->spmm_csr_fast(cv, rc.k, rc.din, rc.cold_out + base, 0,
-                              ct.height);
+    buildRowPtr(pw, row0, height, slot.row_ptr.data());
+    const CsrView cv{slot.row_ptr.data(), pw.cols.data(), pw.vals.data(),
+                     height};
+    const size_t n = size_t(height) * rc.k;
+    Value* o = rc.out + size_t(row0) * rc.k;
+    Acc* part = slot.buf;
+    const double t0 = rc.collect ? monotonicSeconds() : 0;
+    if (ct.join == kNoJoin) {
+        // Every golden chain starts at +0.0, so the storing kernel's
+        // Value(chain) equals the reference's Value(0.0 + chain).
+        if constexpr (RunContext<Acc>::kGolden)
+            rc.ops->spmm_csr_golden(cv, rc.k, rc.din, o, 0, height);
+        else
+            rc.ops->spmm_csr_fast(cv, rc.k, rc.din, o, 0, height);
+    } else if constexpr (RunContext<Acc>::kGolden) {
+        std::fill_n(part, n, 0.0);
+        rc.ops->spmm_csr_golden_acc(cv, rc.k, rc.din, part, 0, height);
+    } else {
+        rc.ops->spmm_csr_fast(cv, rc.k, rc.din, part, 0, height);
+    }
     if (rc.collect)
         rc.cold_units[task_idx] = {uint32_t(ct.panel),
                                    monotonicSeconds() - t0};
+    if (ct.join != kNoJoin)
+        finishJoin(rc, slot, ct.join, part, o, n);
 }
 
 class NativeCpuBackend final : public ExecutionBackend
@@ -299,17 +432,29 @@ class NativeCpuBackend final : public ExecutionBackend
 
     DenseMatrix run(const TileGrid& grid, const Partition& p,
                     const KernelConfig& kernel, const DenseMatrix& din,
-                    ExecReport* report) override;
+                    ExecReport* report) override
+    {
+        validate(grid, p, kernel, din);
+        return opts_.policy == Policy::Golden
+                   ? runAs<double>(grid, p, kernel, din, report)
+                   : runAs<Value>(grid, p, kernel, din, report);
+    }
 
   private:
+    template <class Acc>
+    DenseMatrix runAs(const TileGrid& grid, const Partition& p,
+                      const KernelConfig& kernel, const DenseMatrix& din,
+                      ExecReport* report);
+
     NativeExecOptions opts_;
 };
 
-DenseMatrix NativeCpuBackend::run(const TileGrid& grid, const Partition& p,
-                                  const KernelConfig& kernel,
-                                  const DenseMatrix& din, ExecReport* report)
+template <class Acc>
+DenseMatrix NativeCpuBackend::runAs(const TileGrid& grid, const Partition& p,
+                                    const KernelConfig& kernel,
+                                    const DenseMatrix& din,
+                                    ExecReport* report)
 {
-    validate(grid, p, kernel, din);
     MetricsRegistry& reg = MetricsRegistry::global();
     reg.counter("exec.native.runs").add(1);
 
@@ -318,34 +463,37 @@ DenseMatrix NativeCpuBackend::run(const TileGrid& grid, const Partition& p,
 
     const Index rows = grid.matrixRows();
     const Index k = kernel.k;
-    const size_t cells = size_t(rows) * k;
-    const bool golden = opts_.policy == Policy::Golden;
+    const unsigned T = ThreadPool::globalThreads();
 
-    // Class-private accumulators: tasks write disjoint row ranges, the
-    // merge below combines the two classes element-wise.
-    std::vector<double> hot_acc(golden ? cells : 0, 0.0);
-    std::vector<double> cold_acc(golden ? cells : 0, 0.0);
-    DenseMatrix hot_out(golden ? 0 : rows, k);
-    DenseMatrix cold_out(golden ? 0 : rows, k);
+    // Panel buffers, one per slot plus one spare per join.  They start
+    // uninitialized: a task zeroes or overwrites the part it uses.  The
+    // stride rounds to whole cache lines, so every buffer stays aligned.
+    const Index panel_h = std::min(grid.tileHeight(), rows);
+    const size_t lane = kDenseAlign / sizeof(Acc);
+    const size_t stride = (size_t(panel_h) * k + lane - 1) / lane * lane;
+    AlignedBuffer<Acc> buffers((T + size_t(plan.joins)) * stride);
+    std::vector<std::atomic<Acc*>> parked(plan.joins);
+    std::vector<SlotScratch<Acc>> scratch(T);
+    for (unsigned s = 0; s < T; ++s) {
+        scratch[s].buf = buffers.data() + s * stride;
+        scratch[s].row_ptr.resize(size_t(panel_h) + 1);
+    }
 
-    RunContext rc;
+    RunContext<Acc> rc;
     rc.grid = &grid;
     rc.plan = &plan;
     rc.ops = &kernels::activeOps();
-    rc.policy = opts_.policy;
     rc.k = k;
-    rc.din = cells ? din.row(0) : nullptr;
-    rc.hot_acc = hot_acc.data();
-    rc.cold_acc = cold_acc.data();
-    rc.hot_out = golden ? nullptr : hot_out.row(0);
-    rc.cold_out = golden ? nullptr : cold_out.row(0);
+    rc.din = rows ? din.row(0) : nullptr;
     rc.collect = opts_.collect_unit_times;
     std::vector<UnitTime> hot_units(rc.collect ? plan.hot_tiles : 0);
     std::vector<UnitTime> cold_units(rc.collect ? plan.cold_tasks.size() : 0);
     rc.hot_units = hot_units.data();
     rc.cold_units = cold_units.data();
+    rc.spares = buffers.data() + size_t(T) * stride;
+    rc.stride = stride;
+    rc.parked = parked.data();
 
-    const unsigned T = ThreadPool::globalThreads();
     const unsigned hot_slots = splitSlots(T, plan, opts_);
     // A 1-thread pool (or a class with zero slots) must serve both
     // queues regardless of the stealing knob: stealing is a tail
@@ -367,6 +515,8 @@ DenseMatrix NativeCpuBackend::run(const TileGrid& grid, const Partition& p,
     const double prep_s = monotonicSeconds() - prep0;
 
     const double run0 = monotonicSeconds();
+    DenseMatrix out(rows, k);
+    rc.out = out.row(0);
     parallelFor(0, T, 1, [&](size_t sb, size_t se) {
         for (size_t slot = sb; slot < se; ++slot) {
             const int my = slot < hot_slots ? 0 : 1;
@@ -405,9 +555,10 @@ DenseMatrix NativeCpuBackend::run(const TileGrid& grid, const Partition& p,
                     break;
                 const double t0 = monotonicSeconds();
                 if (t.cls == 0)
-                    runHotTask(rc, plan.hot_tasks[t.idx]);
+                    runHotTask(rc, scratch[slot], plan.hot_tasks[t.idx]);
                 else
-                    runColdTask(rc, plan.cold_tasks[t.idx], t.idx);
+                    runColdTask(rc, scratch[slot], plan.cold_tasks[t.idx],
+                                t.idx);
                 const double dt = monotonicSeconds() - t0;
                 SlotClassStats& cs = st.cls[t.cls];
                 ++cs.tasks;
@@ -428,32 +579,6 @@ DenseMatrix NativeCpuBackend::run(const TileGrid& grid, const Partition& p,
             }
         }
     });
-
-    // Merge the class-private buffers.  Golden: one double add and one
-    // double -> Value cast per element, both exact deterministic ops —
-    // the serial reference does the same, element for element.
-    DenseMatrix out(rows, k);
-    if (golden) {
-        parallelFor(0, rows, kGrainRows, [&](size_t b, size_t e) {
-            for (size_t r = b; r < e; ++r) {
-                Value* o = out.row(Index(r));
-                const double* h = hot_acc.data() + r * k;
-                const double* c = cold_acc.data() + r * k;
-                for (Index j = 0; j < k; ++j)
-                    o[j] = Value(h[j] + c[j]);
-            }
-        });
-    } else {
-        parallelFor(0, rows, kGrainRows, [&](size_t b, size_t e) {
-            for (size_t r = b; r < e; ++r) {
-                Value* o = out.row(Index(r));
-                const Value* h = hot_out.row(Index(r));
-                const Value* c = cold_out.row(Index(r));
-                for (Index j = 0; j < k; ++j)
-                    o[j] = h[j] + c[j];
-            }
-        });
-    }
     const double wall_s = monotonicSeconds() - run0;
 
     ExecReport rep;
@@ -525,11 +650,14 @@ DenseMatrix referenceExecute(const TileGrid& grid, const Partition& p,
         }
     for (const ColdTask& ct : plan.cold_tasks) {
         const PanelWork& pw = plan.cold_w.panels[ct.work];
-        const CsrView cv{ct.row_ptr.data(), pw.cols.data(), pw.vals.data(),
-                         ct.height};
+        const auto [row0, height] = panelRows(grid, ct.panel);
+        std::vector<size_t> row_ptr(size_t(height) + 1);
+        buildRowPtr(pw, row0, height, row_ptr.data());
+        const CsrView cv{row_ptr.data(), pw.cols.data(), pw.vals.data(),
+                         height};
         ops.spmm_csr_golden_acc(cv, k, din_p,
-                                cold_acc.data() + size_t(ct.row0) * k, 0,
-                                ct.height);
+                                cold_acc.data() + size_t(row0) * k, 0,
+                                height);
     }
 
     DenseMatrix out(rows, k);

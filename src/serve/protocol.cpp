@@ -92,6 +92,25 @@ parseIndex(std::string_view v, const char* key)
     return static_cast<Index>(x);
 }
 
+// The reply to a frame that failed to parse: it carries the frame's id
+// whenever the first `id=` field itself parses, so the client can match
+// the error to its request.
+std::string
+badRequestReply(const std::string& payload)
+{
+    uint64_t id = 0;
+    for (std::string_view field : splitChar(payload, ' ')) {
+        if (!field.starts_with("id="))
+            continue;
+        try {
+            id = parseU64(field.substr(3), "id");
+        } catch (const FatalError&) {
+        }
+        break;
+    }
+    return "id=" + std::to_string(id) + " status=ERROR detail=bad-request";
+}
+
 // Duplicate keys are rejected so a field's value can never silently
 // depend on which occurrence wins.
 void
@@ -189,7 +208,10 @@ parseRequest(const std::string& payload)
             else
                 HT_FATAL("bad kernel '", val, "' (spmm|spmv)");
         } else if (key == "k") {
-            req.kernel.k = static_cast<uint32_t>(parseU64(val, "k"));
+            const uint64_t k = parseU64(val, "k");
+            HT_FATAL_IF(k > std::numeric_limits<uint32_t>::max(), "bad k '",
+                        std::string(val), "' (out of 32-bit range)");
+            req.kernel.k = static_cast<uint32_t>(k);
             HT_FATAL_IF(req.kernel.k == 0, "k must be positive");
             have_k = true;
         } else if (key == "ai") {
@@ -407,7 +429,7 @@ runServeLoop(std::istream& in, std::ostream& out, PlanService& service)
                 try {
                     req = parseDeltaRequest(payload);
                 } catch (const FatalError&) {
-                    writeFrame("id=0 status=ERROR detail=bad-request");
+                    writeFrame(badRequestReply(payload));
                     continue;
                 }
                 if (req.id == 0)
@@ -427,7 +449,7 @@ runServeLoop(std::istream& in, std::ostream& out, PlanService& service)
         try {
             req = parseRequest(payload);
         } catch (const FatalError&) {
-            writeFrame("id=0 status=ERROR detail=bad-request");
+            writeFrame(badRequestReply(payload));
             continue;
         }
         if (req.id == 0)

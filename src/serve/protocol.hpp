@@ -53,8 +53,9 @@ std::string encodeFrame(const std::string& payload);
 bool readFrame(std::istream& in, std::string& payload);
 
 /** Parse a request payload. @throws FatalError on unknown, invalid or
- *  duplicate keys, and on cross-field contradictions (kernel=spmv with
- *  k != 1, neither matrix nor session). */
+ *  duplicate keys (k must fit in 32 bits), and on cross-field
+ *  contradictions (kernel=spmv with k != 1, neither matrix nor
+ *  session). */
 ServeRequest parseRequest(const std::string& payload);
 
 /**
@@ -79,9 +80,11 @@ std::string formatStats(const ServiceStats& stats);
  * @p service, write reply frames to @p out (replies interleave in
  * completion order; match them to requests by id).  Returns when the
  * stream ends or a `cmd=shutdown` frame arrives, after draining every
- * in-flight request.  A malformed frame gets an ERROR reply and the
- * loop continues; a malformed prefix ends the loop (the stream is
- * unrecoverable).  Returns the number of request frames processed.
+ * in-flight request.  A malformed frame gets a `detail=bad-request`
+ * ERROR reply carrying the frame's id whenever its `id=` field parses
+ * (id=0 otherwise), and the loop continues; a malformed prefix ends the
+ * loop (the stream is unrecoverable).  Returns the number of request
+ * frames processed.
  */
 uint64_t runServeLoop(std::istream& in, std::ostream& out,
                       PlanService& service);

@@ -4,8 +4,10 @@
  *
  *  - NativeExec: a Golden-policy run is bit-identical to the serial
  *    reference executor (and tolerance-close to the whole-matrix
- *    reference SpMM); Fast stays within kernel tolerance; reports and
- *    telemetry are internally consistent; SDDMM is cleanly rejected.
+ *    reference SpMM); Fast stays within kernel tolerance; both hold on
+ *    cold-only, hot-only, mixed and empty row panels at K with and
+ *    without SIMD tails; reports and telemetry are internally
+ *    consistent; SDDMM is cleanly rejected.
  *  - NativeExecDeterminism: results are bit-identical across {1, 2, 7}
  *    threads and across hot/cold queue interleavings (executor splits,
  *    stealing on/off) — the disjoint-write contract in practice.
@@ -39,6 +41,13 @@ using exec::NativeExecOptions;
 
 const unsigned kThreadCounts[] = {1, 2, 7};
 
+/** The fixture matrix: 1536 rows, community structure. */
+CooMatrix
+fixtureMatrix()
+{
+    return genCommunity(1536, 13.0, 32, 160, 0.8, 5);
+}
+
 /** One preprocessed matrix + plan + dense input, shared per fixture. */
 struct RunSetup
 {
@@ -46,10 +55,9 @@ struct RunSetup
     std::unique_ptr<HotTiles> ht;
     DenseMatrix din;
 
-    explicit RunSetup(KernelConfig kernel, uint64_t mat_seed = 5)
+    explicit RunSetup(KernelConfig kernel, const CooMatrix& m = fixtureMatrix())
         : arch(calibrated(makeSpadeSextans(4)))
     {
-        CooMatrix m = genCommunity(1536, 13.0, 32, 160, 0.8, mat_seed);
         HotTilesOptions opts;
         opts.kernel = kernel;
         opts.build_formats = false;
@@ -86,6 +94,34 @@ mixedPartition(const TileGrid& grid)
     p.is_hot.resize(grid.numTiles());
     for (size_t i = 0; i < p.is_hot.size(); ++i)
         p.is_hot[i] = i % 3 != 0;
+    return p;
+}
+
+/** The fixture matrix without rows [512, 1024): whole row panels with
+ *  no nonzero at any panel height up to 512. */
+CooMatrix
+matrixWithEmptyPanels()
+{
+    const CooMatrix full = fixtureMatrix();
+    CooMatrix m(full.rows(), full.cols());
+    for (size_t i = 0; i < full.nnz(); ++i)
+        if (full.rowId(i) < 512 || full.rowId(i) >= 1024)
+            m.push(full.rowId(i), full.colId(i), full.value(i));
+    return m;
+}
+
+/** Assignment by row panel: panel % 3 == 0 is cold only, 1 hot only,
+ *  2 mixed (its first tile cold, the rest hot). */
+Partition
+panelKindPartition(const TileGrid& grid)
+{
+    Partition p;
+    p.is_hot.resize(grid.numTiles());
+    for (size_t i = 0; i < p.is_hot.size(); ++i) {
+        const Index panel = grid.tile(i).panel;
+        p.is_hot[i] = panel % 3 == 1 ||
+                      (panel % 3 == 2 && i != grid.panelTiles(panel).first);
+    }
     return p;
 }
 
@@ -129,8 +165,7 @@ TEST_F(NativeExec, GoldenMatchesWholeMatrixReferenceSpmm)
     // Different accumulation order than the tiled plan, so tolerance
     // rather than bits — this pins functional correctness of the plan
     // (every nonzero executed exactly once, rows routed correctly).
-    CooMatrix m = genCommunity(1536, 13.0, 32, 160, 0.8, 5);
-    EXPECT_TRUE(s.run({}).approxEqual(referenceSpmm(m, s.din)));
+    EXPECT_TRUE(s.run({}).approxEqual(referenceSpmm(fixtureMatrix(), s.din)));
 }
 
 TEST_F(NativeExec, FastPolicyWithinTolerance)
@@ -167,6 +202,49 @@ TEST_F(NativeExec, UniformAssignmentsExecuteCorrectly)
         EXPECT_EQ(empty.tasks, 0u);
         EXPECT_EQ(empty.nnz, 0u);
         EXPECT_EQ(hot ? rep.cold_executors : rep.hot_executors, 0u);
+    }
+}
+
+TEST_F(NativeExec, EveryPanelKindAtEveryKTail)
+{
+    // K = 5 and 33 leave D-lane tails in the golden kernels.  The
+    // partition gives cold-only panels (stored straight into the
+    // output), hot-only ones (one cast from slot scratch; Fast adds
+    // into the output), mixed ones (joined by the last finisher) and
+    // empty ones (no task writes them).
+    for (uint32_t k : {5u, 32u, 33u}) {
+        SCOPED_TRACE("k=" + std::to_string(k));
+        RunSetup s(spmmKernel(k), matrixWithEmptyPanels());
+        const Partition p = panelKindPartition(s.grid());
+        size_t kinds[4] = {};  // empty, cold only, hot only, mixed
+        for (Index panel = 0; panel < s.grid().numPanels(); ++panel) {
+            auto [tb, te] = s.grid().panelTiles(panel);
+            bool hot = false, cold = false;
+            for (size_t t = tb; t < te; ++t)
+                (p.is_hot[t] ? hot : cold) = true;
+            ++kinds[2 * hot + cold];
+        }
+        for (size_t n : kinds)
+            ASSERT_GT(n, 0u) << "the plan must contain every panel kind";
+
+        const DenseMatrix ref =
+            exec::referenceExecute(s.grid(), p, s.kernel(), s.din);
+        NativeExecOptions fast;
+        fast.policy = kernels::Policy::Fast;
+        auto runWith = [&](const NativeExecOptions& eo) {
+            return exec::makeNativeCpuBackend(eo)->run(s.grid(), p,
+                                                       s.kernel(), s.din);
+        };
+        ThreadPool::setGlobalThreads(1);
+        const DenseMatrix fast_serial = runWith(fast);
+        for (unsigned t : kThreadCounts) {
+            SCOPED_TRACE("threads=" + std::to_string(t));
+            ThreadPool::setGlobalThreads(t);
+            expectBitIdentical(runWith({}), ref);
+            const DenseMatrix f = runWith(fast);
+            EXPECT_TRUE(f.approxEqual(ref));
+            expectBitIdentical(f, fast_serial);
+        }
     }
 }
 

@@ -10,7 +10,9 @@
  *    "kernel=spmv k=8" slipped through while "k=8 kernel=spmv" failed;
  *  - duplicate keys were last-one-wins instead of rejected;
  *  - encodeFrame's %08zx prefix silently widens past 4 GiB, desyncing
- *    the stream, and had no cap at all below that.
+ *    the stream, and had no cap at all below that;
+ *  - k above 2^32-1 was truncated to 32 bits instead of rejected;
+ *  - a bad-request reply carried id=0 even when the frame's id parsed.
  *
  * The fuzz tests assert one property everywhere: any byte string fed to
  * the parsers either parses or throws FatalError — never crashes, hangs
@@ -137,6 +139,60 @@ TEST(ServeProtocolRegression, EncodeFrameEnforcesThePayloadCap)
     std::stringstream huge("ffffffff");
     std::string payload;
     EXPECT_THROW(readFrame(huge, payload), FatalError);
+}
+
+TEST(ServeProtocolRegression, RejectsKAbove32Bits)
+{
+    // Pre-fix, k was cast to uint32_t after parsing, so k=2^32+1 ran as
+    // k = 1 with status OK.
+    for (const char* payload : {"matrix=@pap k=4294967297",
+                                "matrix=@pap k=4294967296",
+                                "k=18446744073709551615 matrix=@pap"}) {
+        try {
+            parseRequest(payload);
+            ADD_FAILURE() << payload << " parsed";
+        } catch (const FatalError& e) {
+            EXPECT_NE(std::string(e.what()).find("bad k"), std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_EQ(parseRequest("matrix=@pap k=4294967295").kernel.k,
+              4294967295u);
+}
+
+TEST(ServeProtocolRegression, BadRequestRepliesEchoTheRequestId)
+{
+    // Pre-fix, every parse failure replied id=0, so a client could not
+    // match the error to its request.  The id is echoed whenever the
+    // id field itself parses, wherever it sits in the frame.
+    ServiceConfig cfg;
+    cfg.workers = 1;
+    PlanService service(cfg);
+    std::stringstream in;
+    in << encodeFrame("id=2 matrix=@myc ai=-5")
+       << encodeFrame("matrix=@myc ai=-5 id=3")
+       << encodeFrame("id=4 matrix=@pap k=4294967297")
+       << encodeFrame("cmd=delta id=5 session=s ins=1:2")
+       << encodeFrame("id=-1 matrix=@myc ai=-5")  // the id is the bad field
+       << encodeFrame("matrix=@myc ai=-5");       // no id at all
+    std::ostringstream out;
+    EXPECT_EQ(runServeLoop(in, out, service), 0u);
+    service.stop();
+
+    std::stringstream replies(out.str());
+    std::vector<std::string> got;
+    std::string payload;
+    while (readFrame(replies, payload))
+        got.push_back(payload);
+    const std::vector<std::string> want = {
+        "id=2 status=ERROR detail=bad-request",
+        "id=3 status=ERROR detail=bad-request",
+        "id=4 status=ERROR detail=bad-request",
+        "id=5 status=ERROR detail=bad-request",
+        "id=0 status=ERROR detail=bad-request",
+        "id=0 status=ERROR detail=bad-request",
+    };
+    EXPECT_EQ(got, want);
 }
 
 TEST(ServeProtocolRegression, RequestNeedsMatrixOrSession)
