@@ -190,18 +190,24 @@ int
 main(int argc, char** argv)
 {
     init(&argc, argv);
+    const char* usage = "usage: bench_incremental [--smoke] [--threads N] "
+                        "[--out FILE] [--check]\n"
+                        "  --out FILE    JSON output path (default "
+                        "BENCH_incremental.json)\n"
+                        "  --check       exit 1 when an incremental "
+                        "gate fails\n";
     std::string out_path = "BENCH_incremental.json";
     bool check = false;
     for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--out") {
-            HT_FATAL_IF(i + 1 >= argc, "missing value for --out");
-            out_path = argv[++i];
-        } else if (a == "--check") {
+        const std::string a = argv[i];
+        if (a == "--out")
+            out_path = flagValue(argc, argv, i, usage);
+        else if (a == "--check")
             check = true;
-        } else {
-            HT_FATAL("unknown option '", a, "'");
-        }
+        else if (a == "--help" || a == "-h")
+            exitUsage(usage);
+        else
+            exitUsage(usage, "unknown option '" + a + "'");
     }
 
     const bool smoke = smokeMode();

@@ -45,6 +45,7 @@
 #include "sparse/csr.hpp"
 #include "sparse/dense.hpp"
 #include "sparse/generators.hpp"
+#include "sparse/suite.hpp"
 
 using namespace hottiles;
 namespace hk = hottiles::kernels;
@@ -68,28 +69,38 @@ struct Workload
     std::string name;
     CooMatrix coo;
     CsrMatrix csr;
+    std::vector<Index> ks;  //!< dense widths to sweep
 };
 
 std::vector<Workload>
 makeWorkloads()
 {
-    // Small enough to stay cache-resident (the kernels, not DRAM, are
-    // under test), large enough that a call is microseconds not noise.
+    // uniform and rmat are small enough to stay cache-resident (the
+    // kernels, not DRAM, are under test), large enough that a call is
+    // microseconds not noise.  Full mode adds the del proxy at K = 32:
+    // its 16.8 MB Din outgrows L2, so it is the cell where the golden
+    // CSR kernels' Din prefetch shows (docs/KERNELS.md).
     std::vector<Workload> out;
-    auto add = [&](const std::string& name, CooMatrix m) {
+    auto add = [&](const std::string& name, CooMatrix m,
+                   std::vector<Index> ks) {
         m.sortRowMajor();
         Workload w;
         w.name = name;
         w.csr = CsrMatrix::fromCoo(m);
         w.coo = std::move(m);
+        w.ks = std::move(ks);
         out.push_back(std::move(w));
     };
     if (bench::smokeMode()) {
-        add("uniform", genUniform(512, 512, 8192, 0xC0FFEE));
-        add("rmat", genRmat(512, 8192, 0.57, 0.19, 0.19, 0.05, 0xBEEF));
+        add("uniform", genUniform(512, 512, 8192, 0xC0FFEE), {8, 32});
+        add("rmat", genRmat(512, 8192, 0.57, 0.19, 0.19, 0.05, 0xBEEF),
+            {8, 32});
     } else {
-        add("uniform", genUniform(4096, 4096, 200000, 0xC0FFEE));
-        add("rmat", genRmat(4096, 200000, 0.57, 0.19, 0.19, 0.05, 0xBEEF));
+        add("uniform", genUniform(4096, 4096, 200000, 0xC0FFEE),
+            {8, 32, 128});
+        add("rmat", genRmat(4096, 200000, 0.57, 0.19, 0.19, 0.05, 0xBEEF),
+            {8, 32, 128});
+        add("del", makeSuiteMatrix("del"), {32});
     }
     return out;
 }
@@ -323,26 +334,38 @@ int
 main(int argc, char** argv)
 {
     bench::init(&argc, argv);
+    const char* usage =
+        "usage: bench_kernel_throughput [--smoke] [--threads N] "
+        "[--out FILE] [--check FILE] [--tolerance F] "
+        "[--min-spmm-speedup F]\n"
+        "  --out FILE             JSON output path (default "
+        "BENCH_kernels.json)\n"
+        "  --check FILE           exit 1 when a tier-vs-scalar ratio "
+        "regresses against this baseline JSON\n"
+        "  --tolerance F          allowed relative ratio regression "
+        "(default 0.40)\n"
+        "  --min-spmm-speedup F   floor for fast CSR SpMM @ K=32 vs "
+        "scalar (default 3.0)\n";
     std::string out_path = "BENCH_kernels.json";
     std::string check_path;
     double tolerance = 0.40;
     double min_spmm_speedup = 3.0;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
-        auto next = [&]() -> std::string {
-            HT_FATAL_IF(i + 1 >= argc, "missing value for ", a);
-            return argv[++i];
-        };
         if (a == "--out")
-            out_path = next();
+            out_path = bench::flagValue(argc, argv, i, usage);
         else if (a == "--check")
-            check_path = next();
+            check_path = bench::flagValue(argc, argv, i, usage);
         else if (a == "--tolerance")
-            tolerance = std::strtod(next().c_str(), nullptr);
+            tolerance = bench::parseNumber(
+                a, bench::flagValue(argc, argv, i, usage), usage);
         else if (a == "--min-spmm-speedup")
-            min_spmm_speedup = std::strtod(next().c_str(), nullptr);
+            min_spmm_speedup = bench::parseNumber(
+                a, bench::flagValue(argc, argv, i, usage), usage);
+        else if (a == "--help" || a == "-h")
+            bench::exitUsage(usage);
         else
-            HT_FATAL("unknown option '", a, "'");
+            bench::exitUsage(usage, "unknown option '" + a + "'");
     }
 
     bench::banner("bench_kernel_throughput", "kernel library",
@@ -355,10 +378,6 @@ main(int argc, char** argv)
         std::printf(" %s", hk::tierName(t));
     std::printf("  (active: %s%s)\n", hk::tierName(hk::activeTier()),
                 hk::scalarForced() ? ", force-scalar" : "");
-
-    const std::vector<Index> kset =
-        bench::smokeMode() ? std::vector<Index>{8, 32}
-                           : std::vector<Index>{8, 32, 128};
 
     std::vector<Cell> cells;
     std::vector<std::string> header = {"Matrix", "Kernel", "K"};
@@ -426,7 +445,7 @@ main(int argc, char** argv)
                                 ops.spmv_coo_golden(ov, x.data(),
                                                     yacc.data(), 0, nnz);
                             }));
-            for (Index k : kset) {
+            for (Index k : w.ks) {
                 DenseMatrix din(cols, k);
                 DenseMatrix u(rows, k);
                 din.fillRandom(rng);

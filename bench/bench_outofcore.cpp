@@ -39,6 +39,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -402,16 +403,22 @@ int
 main(int argc, char** argv)
 {
     init(&argc, argv);
+    const char* usage =
+        "usage: bench_outofcore [--smoke] [--threads N] [--out FILE] "
+        "[--check]\n"
+        "  --out FILE    JSON output path (default BENCH_outofcore.json)\n"
+        "  --check       exit 1 when a plan fingerprint or RSS gate "
+        "fails\n"
+        "(--phase, --htb, --result, --rows, --nnz, --tile and --seed "
+        "drive the per-phase child processes)\n";
     std::string out_path = "BENCH_outofcore.json";
     std::string phase, htb_path, result_path;
     Config c;
     bool check = false;
+    constexpr uint64_t kIndexMax = std::numeric_limits<Index>::max();
     for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto val = [&]() -> std::string {
-            HT_FATAL_IF(i + 1 >= argc, "missing value for ", a);
-            return argv[++i];
-        };
+        const std::string a = argv[i];
+        auto val = [&] { return flagValue(argc, argv, i, usage); };
         if (a == "--out")
             out_path = val();
         else if (a == "--check")
@@ -423,15 +430,17 @@ main(int argc, char** argv)
         else if (a == "--result")
             result_path = val();
         else if (a == "--rows")
-            c.rows = Index(std::stoul(val()));
+            c.rows = Index(parseCount(a, val(), usage, kIndexMax));
         else if (a == "--nnz")
-            c.nnz = std::stoull(val());
+            c.nnz = parseCount(a, val(), usage);
         else if (a == "--tile")
-            c.tile = Index(std::stoul(val()));
+            c.tile = Index(parseCount(a, val(), usage, kIndexMax));
         else if (a == "--seed")
-            c.seed = std::stoull(val());
+            c.seed = parseCount(a, val(), usage);
+        else if (a == "--help" || a == "-h")
+            exitUsage(usage);
         else
-            HT_FATAL("unknown option '", a, "'");
+            exitUsage(usage, "unknown option '" + a + "'");
     }
 
     // Hidden child mode: run one phase, report, exit.

@@ -178,18 +178,24 @@ int
 main(int argc, char** argv)
 {
     bench::init(&argc, argv);
+    const char* usage = "usage: bench_serving [--smoke] [--threads N] "
+                        "[--out FILE] [--check]\n"
+                        "  --out FILE    JSON output path (default "
+                        "BENCH_serving.json)\n"
+                        "  --check       exit 1 when a serving gate "
+                        "fails\n";
     std::string out_path = "BENCH_serving.json";
     bool check = false;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
-        if (a == "--out") {
-            HT_FATAL_IF(i + 1 >= argc, "missing value for --out");
-            out_path = argv[++i];
-        } else if (a == "--check") {
+        if (a == "--out")
+            out_path = bench::flagValue(argc, argv, i, usage);
+        else if (a == "--check")
             check = true;
-        } else {
-            HT_FATAL("unknown option '", a, "'");
-        }
+        else if (a == "--help" || a == "-h")
+            bench::exitUsage(usage);
+        else
+            bench::exitUsage(usage, "unknown option '" + a + "'");
     }
 
     bench::banner("bench_serving", "serving layer",

@@ -276,26 +276,35 @@ int
 main(int argc, char** argv)
 {
     bench::init(&argc, argv);
+    const char* usage =
+        "usage: bench_sim_perf [--smoke] [--threads N] [--out FILE] "
+        "[--check FILE] [--tolerance F] [--prepr-csv FILE]\n"
+        "  --out FILE         JSON output path (default "
+        "BENCH_sim_perf.json)\n"
+        "  --check FILE       exit 1 on a regression against this "
+        "baseline JSON\n"
+        "  --tolerance F      allowed relative regression (default 0.30)\n"
+        "  --prepr-csv FILE   merge pre-PR numbers from this CSV into "
+        "the report\n";
     std::string out_path = "BENCH_sim_perf.json";
     std::string check_path;
     std::string prepr_path;
     double tolerance = 0.30;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
-        auto next = [&]() -> std::string {
-            HT_FATAL_IF(i + 1 >= argc, "missing value for ", a);
-            return argv[++i];
-        };
         if (a == "--out")
-            out_path = next();
+            out_path = bench::flagValue(argc, argv, i, usage);
         else if (a == "--check")
-            check_path = next();
+            check_path = bench::flagValue(argc, argv, i, usage);
         else if (a == "--tolerance")
-            tolerance = std::strtod(next().c_str(), nullptr);
+            tolerance = bench::parseNumber(
+                a, bench::flagValue(argc, argv, i, usage), usage);
         else if (a == "--prepr-csv")
-            prepr_path = next();
+            prepr_path = bench::flagValue(argc, argv, i, usage);
+        else if (a == "--help" || a == "-h")
+            bench::exitUsage(usage);
         else
-            HT_FATAL("unknown option '", a, "'");
+            bench::exitUsage(usage, "unknown option '" + a + "'");
     }
 
     bench::banner("bench_sim_perf", "perf trajectory",

@@ -1,6 +1,7 @@
 #include "bench_util.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 
@@ -30,6 +31,43 @@ exitUsage(const std::string& usage, const std::string& message)
         std::cerr << "error: " << message << "\n";
     std::cerr << usage << kSharedUsage;
     std::exit(2);
+}
+
+std::string
+flagValue(int argc, char** argv, int& i, const std::string& usage)
+{
+    if (i + 1 >= argc)
+        exitUsage(usage, std::string("missing value for ") + argv[i]);
+    return argv[++i];
+}
+
+double
+parseNumber(const std::string& flag, const std::string& value,
+            const std::string& usage)
+{
+    double out = 0;
+    auto [end, ec] =
+        std::from_chars(value.data(), value.data() + value.size(), out);
+    if (ec != std::errc() || end != value.data() + value.size() ||
+        !std::isfinite(out) || out < 0)
+        exitUsage(usage, "bad value for " + flag + ": '" + value +
+                             "' (want a non-negative number)");
+    return out;
+}
+
+uint64_t
+parseCount(const std::string& flag, const std::string& value,
+           const std::string& usage, uint64_t max)
+{
+    uint64_t out = 0;
+    auto [end, ec] =
+        std::from_chars(value.data(), value.data() + value.size(), out);
+    if (ec != std::errc() || end != value.data() + value.size() ||
+        out > max)
+        exitUsage(usage, "bad value for " + flag + ": '" + value +
+                             "' (want an integer in [0, " +
+                             std::to_string(max) + "])");
+    return out;
 }
 
 void

@@ -7,8 +7,10 @@
  * arithmetic, and the uniform headings each binary prints.
  */
 
+#include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -36,6 +38,22 @@ void init(int* argc, char** argv);
  *  stderr, then exit with status 2, the CLI's usage-error code. */
 [[noreturn]] void exitUsage(const std::string& usage,
                             const std::string& message = "");
+
+/** The value after flag argv[i], advancing i; exits through exitUsage
+ *  when argv ends first. */
+std::string flagValue(int argc, char** argv, int& i,
+                      const std::string& usage);
+
+/** @p value of @p flag as a finite, non-negative number; anything else
+ *  exits through exitUsage naming the flag. */
+double parseNumber(const std::string& flag, const std::string& value,
+                   const std::string& usage);
+
+/** @p value of @p flag as a decimal integer in [0, @p max]; anything
+ *  else exits through exitUsage naming the flag. */
+uint64_t parseCount(const std::string& flag, const std::string& value,
+                    const std::string& usage,
+                    uint64_t max = std::numeric_limits<uint64_t>::max());
 
 /** True when --smoke was passed (benches may trim their sweeps). */
 bool smokeMode();

@@ -19,9 +19,22 @@
  * inner kernel holds 4 accumulators live across the whole nonzero run
  * of a row, giving Dout register reuse like the paper's streaming PEs),
  * then single vectors, then a masked (or scalar, for doubles) tail.
+ *
+ * Latency tolerance, in the vector tiers only (the scalar traits switch
+ * both off, so referenceExecute and the throughput gate's scalar
+ * denominator keep their code path):
+ *  - the golden CSR kernels' four-vector loop prefetches the Din row
+ *    slice of the nonzero S::kPrefetchDist positions ahead, within the
+ *    view;
+ *  - the COO kernels fold each run of at least S::kMinRun nonzeros on
+ *    one row in registers, loading and storing its accumulator once per
+ *    run instead of once per nonzero, and the accumulating golden CSR
+ *    kernel folds every row that way.
+ * Neither changes any element's FMA sequence (docs/KERNELS.md).
  */
 
 #include <cstddef>
+#include <type_traits>
 
 #include "kernels/kernel_api.hpp"
 
@@ -35,102 +48,197 @@ struct MicroKernels
     static constexpr Index F = S::kF;
     static constexpr Index D = S::kD;
 
+    /**
+     * Prefetch the cache lines of the Din row slice [j, j + 4D) that the
+     * nonzero S::kPrefetchDist positions after @p i will read, while
+     * that nonzero lies before @p end (inside the view).  A prefetch
+     * does no arithmetic, so no accumulator chain changes.
+     */
+    static void
+    prefetchAhead([[maybe_unused]] const Index* col_ids,
+                  [[maybe_unused]] size_t i, [[maybe_unused]] size_t end,
+                  [[maybe_unused]] Index k,
+                  [[maybe_unused]] const Value* din,
+                  [[maybe_unused]] Index j)
+    {
+        if constexpr (S::kPrefetchDist > 0) {
+            if (i + S::kPrefetchDist < end) {
+                const char* p = reinterpret_cast<const char*>(
+                    din + size_t(col_ids[i + S::kPrefetchDist]) * k + j);
+                for (size_t off = 0; off < 4 * D * sizeof(Value); off += 64)
+                    __builtin_prefetch(p + off);
+            }
+        }
+    }
+
+    /**
+     * Fold nonzeros [b, e) of one row into the output row @p out with
+     * double chains, four vectors at a time in registers.  For a double
+     * @p out each chain starts from the stored value (accumulate); for a
+     * Value @p out it starts from zero and is rounded once on store.
+     * The four-vector loop prefetches while the nonzero ahead lies
+     * before @p pf_end (0: never); the narrower loops read under a cache
+     * line per nonzero, where a prefetch costs more than it hides.
+     */
+    template <class Out>
+    [[gnu::always_inline]] static void
+    runGolden(const Index* col_ids, const Value* vals, size_t b, size_t e,
+              size_t pf_end, Index k, const Value* din, Out* out)
+    {
+        constexpr bool kLoad = std::is_same_v<Out, double>;
+        auto load = [&](Index at) {
+            if constexpr (kLoad)
+                return S::loadD(out + at);
+            else
+                return S::zeroD();
+        };
+        auto store = [&](Index at, VD v) {
+            if constexpr (kLoad)
+                S::storeD(out + at, v);
+            else
+                S::storeD2F(out + at, v);
+        };
+        Index j = 0;
+        for (; j + 4 * D <= k; j += 4 * D) {
+            VD a0 = load(j);
+            VD a1 = load(j + D);
+            VD a2 = load(j + 2 * D);
+            VD a3 = load(j + 3 * D);
+            for (size_t i = b; i < e; ++i) {
+                prefetchAhead(col_ids, i, pf_end, k, din, j);
+                const VD v = S::broadcastD(double(vals[i]));
+                const Value* in = din + size_t(col_ids[i]) * k + j;
+                a0 = S::fmaD(v, S::cvtF2D(in), a0);
+                a1 = S::fmaD(v, S::cvtF2D(in + D), a1);
+                a2 = S::fmaD(v, S::cvtF2D(in + 2 * D), a2);
+                a3 = S::fmaD(v, S::cvtF2D(in + 3 * D), a3);
+            }
+            store(j, a0);
+            store(j + D, a1);
+            store(j + 2 * D, a2);
+            store(j + 3 * D, a3);
+        }
+        for (; j + D <= k; j += D) {
+            VD acc = load(j);
+            for (size_t i = b; i < e; ++i)
+                acc = S::fmaD(S::broadcastD(double(vals[i])),
+                              S::cvtF2D(din + size_t(col_ids[i]) * k + j),
+                              acc);
+            store(j, acc);
+        }
+        for (; j < k; ++j) {
+            double acc = 0.0;
+            if constexpr (kLoad)
+                acc = out[j];
+            for (size_t i = b; i < e; ++i)
+                acc += double(vals[i]) *
+                       double(din[size_t(col_ids[i]) * k + j]);
+            out[j] = static_cast<Out>(acc);
+        }
+    }
+
+    /**
+     * Fold nonzeros [b, e) of one row into the fp32 row @p out, four
+     * vectors at a time in registers.  kLoad starts each chain from the
+     * stored value (accumulate), otherwise from zero.  No prefetch: the
+     * fp32 loops are light enough that out-of-order execution already
+     * overlaps their Din misses (docs/KERNELS.md has the measurement).
+     */
+    template <bool kLoad>
+    [[gnu::always_inline]] static void
+    runFast(const Index* col_ids, const Value* vals, size_t b, size_t e,
+            Index k, const Value* din, Value* out)
+    {
+        Index j = 0;
+        for (; j + 4 * F <= k; j += 4 * F) {
+            VF a0 = kLoad ? S::loadF(out + j) : S::zeroF();
+            VF a1 = kLoad ? S::loadF(out + j + F) : S::zeroF();
+            VF a2 = kLoad ? S::loadF(out + j + 2 * F) : S::zeroF();
+            VF a3 = kLoad ? S::loadF(out + j + 3 * F) : S::zeroF();
+            for (size_t i = b; i < e; ++i) {
+                const VF v = S::broadcastF(vals[i]);
+                const Value* in = din + size_t(col_ids[i]) * k + j;
+                a0 = S::fmaF(v, S::loadF(in), a0);
+                a1 = S::fmaF(v, S::loadF(in + F), a1);
+                a2 = S::fmaF(v, S::loadF(in + 2 * F), a2);
+                a3 = S::fmaF(v, S::loadF(in + 3 * F), a3);
+            }
+            S::storeF(out + j, a0);
+            S::storeF(out + j + F, a1);
+            S::storeF(out + j + 2 * F, a2);
+            S::storeF(out + j + 3 * F, a3);
+        }
+        for (; j + F <= k; j += F) {
+            VF acc = kLoad ? S::loadF(out + j) : S::zeroF();
+            for (size_t i = b; i < e; ++i)
+                acc = S::fmaF(S::broadcastF(vals[i]),
+                              S::loadF(din + size_t(col_ids[i]) * k + j),
+                              acc);
+            S::storeF(out + j, acc);
+        }
+        if (j < k) {
+            const Index tail = k - j;
+            VF acc = kLoad ? S::maskLoadF(out + j, tail) : S::zeroF();
+            for (size_t i = b; i < e; ++i)
+                acc = S::fmaF(
+                    S::broadcastF(vals[i]),
+                    S::maskLoadF(din + size_t(col_ids[i]) * k + j, tail),
+                    acc);
+            S::maskStoreF(out + j, acc, tail);
+        }
+    }
+
+    /**
+     * Walk nonzeros [b, e): each run of at least S::kMinRun nonzeros on
+     * one row goes to @p run(rb, re), every other nonzero to @p one(i).
+     * Run search costs a branch per run, so it happens only when the
+     * range averages at least S::kMinRun nonzeros per row it spans, read
+     * off its end rows in O(1) (row-sorted input); ranges of short runs,
+     * and the scalar tier, keep the plain per-nonzero loop.
+     */
+    template <class Run, class One>
+    [[gnu::always_inline]] static void
+    forEachRun(const Index* row_ids, size_t b, size_t e, Run&& run, One&& one)
+    {
+        if constexpr (S::kMinRun > 0) {
+            const size_t n = e - b;
+            if (n >= S::kMinRun && row_ids[e - 1] >= row_ids[b] &&
+                n >= S::kMinRun * (size_t(row_ids[e - 1] - row_ids[b]) + 1)) {
+                for (size_t i = b; i < e;) {
+                    size_t re = i + 1;
+                    while (re < e && row_ids[re] == row_ids[i])
+                        ++re;
+                    if (re - i >= S::kMinRun)
+                        run(i, re);
+                    else
+                        for (size_t x = i; x < re; ++x)
+                            one(x);
+                    i = re;
+                }
+                return;
+            }
+        }
+        for (size_t i = b; i < e; ++i)
+            one(i);
+    }
+
     static void
     spmmCsrGolden(const CsrView& a, Index k, const Value* din, Value* dout,
                   Index r0, Index r1)
     {
-        for (Index r = r0; r < r1; ++r) {
-            const size_t rb = a.row_ptr[r];
-            const size_t re = a.row_ptr[r + 1];
-            Value* out = dout + size_t(r) * k;
-            Index j = 0;
-            for (; j + 4 * D <= k; j += 4 * D) {
-                VD a0 = S::zeroD();
-                VD a1 = S::zeroD();
-                VD a2 = S::zeroD();
-                VD a3 = S::zeroD();
-                for (size_t i = rb; i < re; ++i) {
-                    const VD v = S::broadcastD(double(a.vals[i]));
-                    const Value* in =
-                        din + size_t(a.col_ids[i]) * k + j;
-                    a0 = S::fmaD(v, S::cvtF2D(in), a0);
-                    a1 = S::fmaD(v, S::cvtF2D(in + D), a1);
-                    a2 = S::fmaD(v, S::cvtF2D(in + 2 * D), a2);
-                    a3 = S::fmaD(v, S::cvtF2D(in + 3 * D), a3);
-                }
-                S::storeD2F(out + j, a0);
-                S::storeD2F(out + j + D, a1);
-                S::storeD2F(out + j + 2 * D, a2);
-                S::storeD2F(out + j + 3 * D, a3);
-            }
-            for (; j + D <= k; j += D) {
-                VD acc = S::zeroD();
-                for (size_t i = rb; i < re; ++i)
-                    acc = S::fmaD(
-                        S::broadcastD(double(a.vals[i])),
-                        S::cvtF2D(din + size_t(a.col_ids[i]) * k + j),
-                        acc);
-                S::storeD2F(out + j, acc);
-            }
-            for (; j < k; ++j) {
-                double acc = 0.0;
-                for (size_t i = rb; i < re; ++i)
-                    acc += double(a.vals[i]) *
-                           double(din[size_t(a.col_ids[i]) * k + j]);
-                out[j] = static_cast<Value>(acc);
-            }
-        }
+        const size_t end = a.row_ptr[r1];
+        for (Index r = r0; r < r1; ++r)
+            runGolden(a.col_ids, a.vals, a.row_ptr[r], a.row_ptr[r + 1],
+                      end, k, din, dout + size_t(r) * k);
     }
 
     static void
     spmmCsrFast(const CsrView& a, Index k, const Value* din, Value* dout,
                 Index r0, Index r1)
     {
-        for (Index r = r0; r < r1; ++r) {
-            const size_t rb = a.row_ptr[r];
-            const size_t re = a.row_ptr[r + 1];
-            Value* out = dout + size_t(r) * k;
-            Index j = 0;
-            for (; j + 4 * F <= k; j += 4 * F) {
-                VF a0 = S::zeroF();
-                VF a1 = S::zeroF();
-                VF a2 = S::zeroF();
-                VF a3 = S::zeroF();
-                for (size_t i = rb; i < re; ++i) {
-                    const VF v = S::broadcastF(a.vals[i]);
-                    const Value* in =
-                        din + size_t(a.col_ids[i]) * k + j;
-                    a0 = S::fmaF(v, S::loadF(in), a0);
-                    a1 = S::fmaF(v, S::loadF(in + F), a1);
-                    a2 = S::fmaF(v, S::loadF(in + 2 * F), a2);
-                    a3 = S::fmaF(v, S::loadF(in + 3 * F), a3);
-                }
-                S::storeF(out + j, a0);
-                S::storeF(out + j + F, a1);
-                S::storeF(out + j + 2 * F, a2);
-                S::storeF(out + j + 3 * F, a3);
-            }
-            for (; j + F <= k; j += F) {
-                VF acc = S::zeroF();
-                for (size_t i = rb; i < re; ++i)
-                    acc = S::fmaF(
-                        S::broadcastF(a.vals[i]),
-                        S::loadF(din + size_t(a.col_ids[i]) * k + j),
-                        acc);
-                S::storeF(out + j, acc);
-            }
-            if (j < k) {
-                const Index tail = k - j;
-                VF acc = S::zeroF();
-                for (size_t i = rb; i < re; ++i)
-                    acc = S::fmaF(
-                        S::broadcastF(a.vals[i]),
-                        S::maskLoadF(din + size_t(a.col_ids[i]) * k + j,
-                                     tail),
-                        acc);
-                S::maskStoreF(out + j, acc, tail);
-            }
-        }
+        for (Index r = r0; r < r1; ++r)
+            runFast<false>(a.col_ids, a.vals, a.row_ptr[r],
+                           a.row_ptr[r + 1], k, din, dout + size_t(r) * k);
     }
 
     static void
@@ -141,29 +249,75 @@ struct MicroKernels
         // the row's nonzeros in CSR order.  Products of promoted floats
         // are exact in double, so fused vs unfused FMA and lane width
         // never change the result (the golden contract).
+        [[maybe_unused]] const size_t end = a.row_ptr[r1];
         for (Index r = r0; r < r1; ++r) {
             const size_t rb = a.row_ptr[r];
             const size_t re = a.row_ptr[r + 1];
             if (rb == re)
                 continue;
             double* out = acc + size_t(r) * k;
-            Index j = 0;
-            for (; j + D <= k; j += D) {
-                VD accv = S::loadD(out + j);
-                for (size_t i = rb; i < re; ++i)
-                    accv = S::fmaD(
-                        S::broadcastD(double(a.vals[i])),
-                        S::cvtF2D(din + size_t(a.col_ids[i]) * k + j),
-                        accv);
-                S::storeD(out + j, accv);
+            if constexpr (S::kMinRun > 0) {
+                // A CSR row is one row run: the vector tiers fold it in
+                // registers, four vectors at a time.
+                runGolden(a.col_ids, a.vals, rb, re, end, k, din, out);
+            } else {
+                Index j = 0;
+                for (; j + D <= k; j += D) {
+                    VD accv = S::loadD(out + j);
+                    for (size_t i = rb; i < re; ++i)
+                        accv = S::fmaD(
+                            S::broadcastD(double(a.vals[i])),
+                            S::cvtF2D(din + size_t(a.col_ids[i]) * k + j),
+                            accv);
+                    S::storeD(out + j, accv);
+                }
+                for (; j < k; ++j) {
+                    double accs = out[j];
+                    for (size_t i = rb; i < re; ++i)
+                        accs += double(a.vals[i]) *
+                                double(din[size_t(a.col_ids[i]) * k + j]);
+                    out[j] = accs;
+                }
             }
-            for (; j < k; ++j) {
-                double accs = out[j];
-                for (size_t i = rb; i < re; ++i)
-                    accs += double(a.vals[i]) *
-                            double(din[size_t(a.col_ids[i]) * k + j]);
-                out[j] = accs;
-            }
+        }
+    }
+
+    /** One nonzero of the COO golden kernel, accumulated in memory. */
+    [[gnu::always_inline]] static void
+    nnzGolden(const CooView& a, Index k, const Value* din, double* acc,
+              Index row_base, size_t i)
+    {
+        const double v = double(a.vals[i]);
+        const Value* in = din + size_t(a.col_ids[i]) * k;
+        double* out = acc + size_t(a.row_ids[i] - row_base) * k;
+        const VD vv = S::broadcastD(v);
+        Index j = 0;
+        for (; j + D <= k; j += D)
+            S::storeD(out + j,
+                      S::fmaD(vv, S::cvtF2D(in + j), S::loadD(out + j)));
+        for (; j < k; ++j)
+            out[j] += v * double(in[j]);
+    }
+
+    /** One nonzero of the COO fast kernel, accumulated in memory. */
+    [[gnu::always_inline]] static void
+    nnzFast(const CooView& a, Index k, const Value* din, Value* dout,
+            size_t i)
+    {
+        const Value v = a.vals[i];
+        const Value* in = din + size_t(a.col_ids[i]) * k;
+        Value* out = dout + size_t(a.row_ids[i]) * k;
+        const VF vv = S::broadcastF(v);
+        Index j = 0;
+        for (; j + F <= k; j += F)
+            S::storeF(out + j,
+                      S::fmaF(vv, S::loadF(in + j), S::loadF(out + j)));
+        if (j < k) {
+            const Index tail = k - j;
+            S::maskStoreF(out + j,
+                          S::fmaF(vv, S::maskLoadF(in + j, tail),
+                                  S::maskLoadF(out + j, tail)),
+                          tail);
         }
     }
 
@@ -171,41 +325,28 @@ struct MicroKernels
     spmmCooGolden(const CooView& a, Index k, const Value* din, double* acc,
                   Index row_base, size_t b, size_t e)
     {
-        for (size_t i = b; i < e; ++i) {
-            const double v = double(a.vals[i]);
-            const Value* in = din + size_t(a.col_ids[i]) * k;
-            double* out = acc + size_t(a.row_ids[i] - row_base) * k;
-            const VD vv = S::broadcastD(v);
-            Index j = 0;
-            for (; j + D <= k; j += D)
-                S::storeD(out + j,
-                          S::fmaD(vv, S::cvtF2D(in + j), S::loadD(out + j)));
-            for (; j < k; ++j)
-                out[j] += v * double(in[j]);
-        }
+        // A run folds in registers; each element sees the same chain as
+        // nonzero by nonzero.
+        forEachRun(
+            a.row_ids, b, e,
+            [&](size_t rb, size_t re) {
+                runGolden(a.col_ids, a.vals, rb, re, 0, k, din,
+                          acc + size_t(a.row_ids[rb] - row_base) * k);
+            },
+            [&](size_t i) { nnzGolden(a, k, din, acc, row_base, i); });
     }
 
     static void
     spmmCooFast(const CooView& a, Index k, const Value* din, Value* dout,
                 size_t b, size_t e)
     {
-        for (size_t i = b; i < e; ++i) {
-            const Value v = a.vals[i];
-            const Value* in = din + size_t(a.col_ids[i]) * k;
-            Value* out = dout + size_t(a.row_ids[i]) * k;
-            const VF vv = S::broadcastF(v);
-            Index j = 0;
-            for (; j + F <= k; j += F)
-                S::storeF(out + j,
-                          S::fmaF(vv, S::loadF(in + j), S::loadF(out + j)));
-            if (j < k) {
-                const Index tail = k - j;
-                S::maskStoreF(out + j,
-                              S::fmaF(vv, S::maskLoadF(in + j, tail),
-                                      S::maskLoadF(out + j, tail)),
-                              tail);
-            }
-        }
+        forEachRun(
+            a.row_ids, b, e,
+            [&](size_t rb, size_t re) {
+                runFast<true>(a.col_ids, a.vals, rb, re, k, din,
+                              dout + size_t(a.row_ids[rb]) * k);
+            },
+            [&](size_t i) { nnzFast(a, k, din, dout, i); });
     }
 
     static void

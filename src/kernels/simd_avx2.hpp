@@ -26,6 +26,12 @@ struct SimdAvx2
     static constexpr Index kF = 8;
     static constexpr Index kD = 4;
 
+    /** Nonzeros ahead whose Din row the golden CSR kernels prefetch,
+     *  and the shortest one-row run the COO kernels hold in registers
+     *  (docs/KERNELS.md has the sweep that chose them). */
+    static constexpr size_t kPrefetchDist = 16;
+    static constexpr size_t kMinRun = 4;
+
     using VF = __m256;
     using VD = __m256d;
 

@@ -19,6 +19,12 @@ struct SimdAvx512
     static constexpr Index kF = 16;
     static constexpr Index kD = 8;
 
+    /** Nonzeros ahead whose Din row the golden CSR kernels prefetch,
+     *  and the shortest one-row run the COO kernels hold in registers
+     *  (docs/KERNELS.md has the sweep that chose them). */
+    static constexpr size_t kPrefetchDist = 16;
+    static constexpr size_t kMinRun = 4;
+
     using VF = __m512;
     using VD = __m512d;
 

@@ -20,6 +20,13 @@ struct SimdNeon
     static constexpr Index kF = 4;
     static constexpr Index kD = 2;
 
+    /** Nonzeros ahead whose Din row the golden CSR kernels prefetch,
+     *  and the shortest one-row run the COO kernels hold in registers.
+     *  Copied from the x86 tiers, not yet measured on AArch64
+     *  (docs/KERNELS.md). */
+    static constexpr size_t kPrefetchDist = 16;
+    static constexpr size_t kMinRun = 4;
+
     using VF = float32x4_t;
     using VD = float64x2_t;
 

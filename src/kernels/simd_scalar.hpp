@@ -19,6 +19,11 @@ struct SimdScalar
     static constexpr Index kF = 1;  //!< float lanes
     static constexpr Index kD = 1;  //!< double lanes
 
+    // Latency tolerance is off: this tier is referenceExecute's oracle
+    // and the throughput gate's denominator, so its code path stays put.
+    static constexpr size_t kPrefetchDist = 0;  //!< CSR prefetch (off)
+    static constexpr size_t kMinRun = 0;        //!< COO row runs (off)
+
     using VF = Value;
     using VD = double;
 

@@ -10,10 +10,14 @@
  *  - Fast policy agrees within a small tolerance (fp32 + FMA
  *    reassociates differently per tier).
  * Plus: dispatch/force-scalar behaviour, 64-byte dense alignment,
- * masked tails never touching padding, and bit-identical results
- * across {1, 2, 7} threads with SIMD active.
+ * masked tails never touching padding, row-run and prefetch range
+ * boundaries (splits inside a run, CSR sub-ranges, arrays that end at
+ * the view), and bit-identical results across {1, 2, 7} threads with
+ * SIMD active.
  */
 
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -83,6 +87,39 @@ singleRowMatrix()
     return m;
 }
 
+/** Largest minimum row run and prefetch distance (simd_*.hpp traits)
+ *  that runMatrix() exercises at every boundary. */
+constexpr Index kCoveredMinRun = 16;
+constexpr Index kCoveredPrefetchDist = 32;
+
+/** Row of the long run in runMatrix(). */
+constexpr Index kLongRow = 2 * kCoveredMinRun + 3;
+
+/**
+ * Row-run and prefetch boundaries: an empty row before and after every
+ * run length 1 through kCoveredMinRun + 1, then one row longer than
+ * twice kCoveredPrefetchDist, a short row, and an empty last row.
+ */
+CooMatrix
+runMatrix()
+{
+    // Coprime to the column stride 3, so a row's columns are distinct.
+    const Index cols = 2 * kCoveredPrefetchDist + 24;
+    CooMatrix m(kLongRow + 3, cols);
+    Rng rng(91);
+    auto pushRow = [&](Index r, Index len) {
+        for (Index t = 0; t < len; ++t)
+            m.push(r, (r + 3 * t) % cols,
+                   static_cast<Value>(rng.nextDouble(-1.0, 1.0)));
+    };
+    for (Index len = 1; len <= kCoveredMinRun + 1; ++len)
+        pushRow(2 * len - 1, len);
+    pushRow(kLongRow, 2 * kCoveredPrefetchDist + 9);
+    pushRow(kLongRow + 1, 3);
+    m.sortRowMajor();
+    return m;
+}
+
 std::vector<CooMatrix>
 testMatrices()
 {
@@ -90,6 +127,7 @@ testMatrices()
     ms.push_back(uniformMatrix());
     ms.push_back(gappyMatrix());
     ms.push_back(singleRowMatrix());
+    ms.push_back(runMatrix());
     return ms;
 }
 
@@ -100,6 +138,17 @@ randomDense(Index rows, Index cols, uint64_t seed)
     Rng rng(seed);
     m.fillRandom(rng);
     return m;
+}
+
+/** rows x k doubles in [-1, 1): a nonzero starting accumulator. */
+std::vector<double>
+randomDoubles(Index rows, Index k, uint64_t seed)
+{
+    std::vector<double> v(size_t(rows) * k);
+    Rng rng(seed);
+    for (double& x : v)
+        x = rng.nextDouble(-1.0, 1.0);
+    return v;
 }
 
 /** Restores the force-scalar override on scope exit. */
@@ -215,6 +264,30 @@ TEST(KernelLibrary, GoldenCooSpmmBitIdenticalAcrossTiers)
                 hk::opsForTier(t).spmm_coo_golden(cooView(coo), k,
                                                   din.row(0), got.data(),
                                                   0, 0, coo.nnz());
+                SCOPED_TRACE(std::string("tier=") + hk::tierName(t) +
+                             " k=" + std::to_string(k));
+                ASSERT_EQ(ref, got);  // exact double bits
+            }
+        }
+    }
+}
+
+TEST(KernelLibrary, GoldenCsrAccSpmmBitIdenticalAcrossTiers)
+{
+    const hk::KernelOps& scalar = hk::opsForTier(hk::Tier::Scalar);
+    for (const CooMatrix& coo : testMatrices()) {
+        CsrMatrix a = CsrMatrix::fromCoo(coo);
+        for (Index k : kWidths) {
+            DenseMatrix din = randomDense(a.cols(), k, 25 + k);
+            // Every chain starts from the stored accumulator.
+            const std::vector<double> init = randomDoubles(a.rows(), k, k);
+            std::vector<double> ref = init;
+            scalar.spmm_csr_golden_acc(csrView(a), k, din.row(0),
+                                       ref.data(), 0, a.rows());
+            for (hk::Tier t : vectorTiers()) {
+                std::vector<double> got = init;
+                hk::opsForTier(t).spmm_csr_golden_acc(
+                    csrView(a), k, din.row(0), got.data(), 0, a.rows());
                 SCOPED_TRACE(std::string("tier=") + hk::tierName(t) +
                              " k=" + std::to_string(k));
                 ASSERT_EQ(ref, got);  // exact double bits
@@ -457,6 +530,160 @@ TEST(KernelLibrary, MaskedTailsNeverTouchPadding)
                          " k=" + std::to_string(k));
             for (size_t i = n; i < padded.size(); ++i)
                 ASSERT_EQ(padded[i], Value(12345.0f));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Row runs and prefetch: range boundaries
+// ---------------------------------------------------------------------------
+
+constexpr Value kUntouched = Value(12345.0f);
+
+/** What the three CSR SpMM kernels wrote over one row range. */
+struct CsrOutputs
+{
+    DenseMatrix golden;
+    DenseMatrix fast;
+    std::vector<double> acc;
+};
+
+/**
+ * Run the CSR SpMM kernels of @p ops over rows [r0, r1) of @p a, with
+ * col_ids and vals copied into heap arrays exactly row_ptr[r1] long, as
+ * exec's panel-local arrays are: ASan flags any read past the view.
+ * Rows outside the range keep kUntouched (golden, fast) or @p init.
+ */
+CsrOutputs
+runCsrOverExactArrays(const hk::KernelOps& ops, const CsrMatrix& a,
+                      Index k, const DenseMatrix& din, Index r0, Index r1,
+                      const std::vector<double>& init)
+{
+    const size_t n = a.rowPtr()[r1];
+    const std::unique_ptr<Index[]> cols(new Index[n]);
+    const std::unique_ptr<Value[]> vals(new Value[n]);
+    std::copy_n(a.colIds().data(), n, cols.get());
+    std::copy_n(a.values().data(), n, vals.get());
+    const hk::CsrView v{a.rowPtr().data(), cols.get(), vals.get(), r1};
+    CsrOutputs out{DenseMatrix(a.rows(), k), DenseMatrix(a.rows(), k),
+                   init};
+    out.golden.fill(kUntouched);
+    out.fast.fill(kUntouched);
+    ops.spmm_csr_golden(v, k, din.row(0), out.golden.row(0), r0, r1);
+    ops.spmm_csr_fast(v, k, din.row(0), out.fast.row(0), r0, r1);
+    ops.spmm_csr_golden_acc(v, k, din.row(0), out.acc.data(), r0, r1);
+    return out;
+}
+
+TEST(KernelLibrary, CsrSpmmOverExactArraysMatchesMatrixArrays)
+{
+    const CsrMatrix a = CsrMatrix::fromCoo(runMatrix());
+    for (hk::Tier t : hk::supportedTiers()) {
+        const hk::KernelOps& ops = hk::opsForTier(t);
+        for (Index k : kWidths) {
+            const DenseMatrix din = randomDense(a.cols(), k, 110 + k);
+            const std::vector<double> init = randomDoubles(a.rows(), k, k);
+            const CsrOutputs got =
+                runCsrOverExactArrays(ops, a, k, din, 0, a.rows(), init);
+            DenseMatrix golden(a.rows(), k);
+            DenseMatrix fast(a.rows(), k);
+            std::vector<double> acc = init;
+            ops.spmm_csr_golden(csrView(a), k, din.row(0), golden.row(0), 0,
+                                a.rows());
+            ops.spmm_csr_fast(csrView(a), k, din.row(0), fast.row(0), 0,
+                              a.rows());
+            ops.spmm_csr_golden_acc(csrView(a), k, din.row(0), acc.data(),
+                                    0, a.rows());
+            SCOPED_TRACE(std::string("tier=") + hk::tierName(t) +
+                         " k=" + std::to_string(k));
+            ASSERT_EQ(golden.data(), got.golden.data());
+            ASSERT_EQ(fast.data(), got.fast.data());
+            ASSERT_EQ(acc, got.acc);
+        }
+    }
+}
+
+TEST(KernelLibrary, CsrSpmmSubRangeMatchesFullCall)
+{
+    const CsrMatrix a = CsrMatrix::fromCoo(runMatrix());
+    // Ends after the long row, before the last non-empty row: a
+    // prefetch past row_ptr[r1] would read beyond the exact arrays.
+    const Index r0 = 5;
+    const Index r1 = kLongRow + 1;
+    ASSERT_LT(a.rowPtr()[r1], a.nnz());
+    for (hk::Tier t : hk::supportedTiers()) {
+        const hk::KernelOps& ops = hk::opsForTier(t);
+        for (Index k : kWidths) {
+            const DenseMatrix din = randomDense(a.cols(), k, 120 + k);
+            const std::vector<double> init = randomDoubles(a.rows(), k, k);
+            const CsrOutputs full =
+                runCsrOverExactArrays(ops, a, k, din, 0, a.rows(), init);
+            const CsrOutputs sub =
+                runCsrOverExactArrays(ops, a, k, din, r0, r1, init);
+            SCOPED_TRACE(std::string("tier=") + hk::tierName(t) +
+                         " k=" + std::to_string(k));
+            for (Index r = 0; r < a.rows(); ++r) {
+                const bool in = r >= r0 && r < r1;
+                for (Index j = 0; j < k; ++j) {
+                    const size_t x = size_t(r) * k + j;
+                    ASSERT_EQ(sub.golden.data()[x],
+                              in ? full.golden.data()[x] : kUntouched)
+                        << "row " << r;
+                    ASSERT_EQ(sub.fast.data()[x],
+                              in ? full.fast.data()[x] : kUntouched)
+                        << "row " << r;
+                    ASSERT_EQ(sub.acc[x], in ? full.acc[x] : init[x])
+                        << "row " << r;
+                }
+            }
+        }
+    }
+}
+
+/** Splitting a nonzero range inside a row run changes no bit: each
+ *  element's chain continues from the value the first call stored. */
+TEST(KernelLibrary, CooSpmmSplitInsideRunMatchesOneCall)
+{
+    const CooMatrix coo = runMatrix();
+    const hk::CooView v = cooView(coo);
+    // A row panel from row 9 to the end, so row_base is not 0.
+    const Index row_base = 9;
+    const Index height = coo.rows() - row_base;
+    const size_t b = size_t(std::lower_bound(coo.rowIds().begin(),
+                                             coo.rowIds().end(), row_base) -
+                            coo.rowIds().begin());
+    const size_t e = coo.nnz();
+    for (Index k : kWidths) {
+        const DenseMatrix din = randomDense(coo.cols(), k, 130 + k);
+        const std::vector<double> init = randomDoubles(height, k, k);
+        DenseMatrix fast_init = randomDense(coo.rows(), k, 140 + k);
+        std::vector<double> scalar_one = init;
+        hk::opsForTier(hk::Tier::Scalar)
+            .spmm_coo_golden(v, k, din.row(0), scalar_one.data(), row_base,
+                             b, e);
+        for (hk::Tier t : hk::supportedTiers()) {
+            const hk::KernelOps& ops = hk::opsForTier(t);
+            std::vector<double> one = init;
+            ops.spmm_coo_golden(v, k, din.row(0), one.data(), row_base, b,
+                                e);
+            DenseMatrix fast_one = fast_init;
+            ops.spmm_coo_fast(v, k, din.row(0), fast_one.row(0), b, e);
+            SCOPED_TRACE(std::string("tier=") + hk::tierName(t) +
+                         " k=" + std::to_string(k));
+            ASSERT_EQ(one, scalar_one);
+            for (size_t m = b; m <= e; ++m) {
+                std::vector<double> two = init;
+                ops.spmm_coo_golden(v, k, din.row(0), two.data(), row_base,
+                                    b, m);
+                ops.spmm_coo_golden(v, k, din.row(0), two.data(), row_base,
+                                    m, e);
+                ASSERT_EQ(one, two) << "golden split at " << m;
+                DenseMatrix fast_two = fast_init;
+                ops.spmm_coo_fast(v, k, din.row(0), fast_two.row(0), b, m);
+                ops.spmm_coo_fast(v, k, din.row(0), fast_two.row(0), m, e);
+                ASSERT_EQ(fast_one.data(), fast_two.data())
+                    << "fast split at " << m;
+            }
         }
     }
 }

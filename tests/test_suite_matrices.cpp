@@ -45,6 +45,20 @@ TEST(Suite, Deterministic)
     EXPECT_TRUE(a.sameStructure(b));
 }
 
+namespace hottiles {
+
+/** Without a printer gtest dumps the param's raw bytes, std::string
+ *  heap pointers included, and gtest_discover_tests copies that dump
+ *  into the ctest names, which then changed from build to build.  Print
+ *  the SuiteSparse name the proxy stands in for instead (found by ADL). */
+static void
+PrintTo(const SuiteEntry& e, std::ostream* os)
+{
+    *os << e.full_name;
+}
+
+} // namespace hottiles
+
 /** Parameterized over the whole suite: size budgets hold. */
 class SuiteProxy : public testing::TestWithParam<SuiteEntry>
 {

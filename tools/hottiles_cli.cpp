@@ -107,6 +107,7 @@
  */
 
 #include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -217,6 +218,17 @@ parseU64Arg(const std::string& v, const char* what)
     return out;
 }
 
+/** parseU64Arg for a 32-bit option: a value outside [lo, 2^32 - 1] is
+ *  rejected, never truncated. */
+uint32_t
+parseU32Arg(const std::string& v, const char* what, uint32_t lo = 0)
+{
+    const uint64_t out = parseU64Arg(v, what);
+    HT_FATAL_IF(out < lo || out > UINT32_MAX, what, " must be in [", lo,
+                ", ", UINT32_MAX, "], got ", v);
+    return static_cast<uint32_t>(out);
+}
+
 double
 parseF64Arg(const std::string& v, const char* what)
 {
@@ -225,6 +237,14 @@ parseF64Arg(const std::string& v, const char* what)
     HT_FATAL_IF(ec != std::errc() || p != v.data() + v.size(),
                 "bad value for ", what, ": '", v, "'");
     return out;
+}
+
+/** num / den to two decimals plus @p unit, or "-" when den is zero (a
+ *  matrix without nonzeros simulates in zero cycles). */
+std::string
+ratioCell(double num, double den, const char* unit = "")
+{
+    return den > 0 ? Table::num(num / den, 2) + unit : "-";
 }
 
 [[noreturn]] void
@@ -284,12 +304,11 @@ parseArgs(int argc, char** argv)
         else if (a == "--kernel")
             o.kernel_name = next("--kernel");
         else if (a == "--k")
-            o.k = static_cast<uint32_t>(parseU64Arg(next("--k"), "--k"));
+            o.k = parseU32Arg(next("--k"), "--k", 1);
         else if (a == "--ai")
             o.ai = parseF64Arg(next("--ai"), "--ai");
         else if (a == "--tile")
-            o.tile =
-                static_cast<Index>(parseU64Arg(next("--tile"), "--tile"));
+            o.tile = parseU32Arg(next("--tile"), "--tile");
         else if (a == "--seed")
             o.seed = parseU64Arg(next("--seed"), "--seed");
         else if (a == "--out")
@@ -311,8 +330,7 @@ parseArgs(int argc, char** argv)
         else if (a == "--fault-seed")
             o.fault_seed = parseU64Arg(next("--fault-seed"), "--fault-seed");
         else if (a == "--threads")
-            o.threads = static_cast<unsigned>(
-                parseU64Arg(next("--threads"), "--threads"));
+            o.threads = parseU32Arg(next("--threads"), "--threads");
         else if (a == "--verbose")
             o.verbose = true;
         else if (a == "--mmap")
@@ -328,8 +346,8 @@ parseArgs(int argc, char** argv)
         else if (a == "--policy")
             o.policy_name = next("--policy");
         else if (a == "--hot-executors")
-            o.hot_executors = static_cast<unsigned>(
-                parseU64Arg(next("--hot-executors"), "--hot-executors"));
+            o.hot_executors =
+                parseU32Arg(next("--hot-executors"), "--hot-executors");
         else if (a == "--no-steal")
             o.no_steal = true;
         else if (a == "--no-verify")
@@ -365,8 +383,8 @@ parseArgs(int argc, char** argv)
             HT_FATAL_IF(o.serve_deadline_ms <= 0,
                         "--deadline-ms must be positive");
         } else if (a == "--max-retries")
-            o.serve_max_retries = static_cast<uint32_t>(
-                parseU64Arg(next("--max-retries"), "--max-retries"));
+            o.serve_max_retries =
+                parseU32Arg(next("--max-retries"), "--max-retries");
         else if (a == "--chaos-seed")
             o.chaos_seed = parseU64Arg(next("--chaos-seed"), "--chaos-seed");
         else if (a == "--no-coalesce")
@@ -694,7 +712,7 @@ cmdSimulate(const Options& o)
     auto row = [&](const char* name, const StrategyOutcome& s) {
         std::vector<std::string> r = {
             name, Table::num(s.cycles(), 0), Table::num(s.ms(), 3),
-            Table::num(ev.speedupOverWorst(s), 2),
+            ratioCell(ev.worstHomogeneousCycles(), s.cycles()),
             Table::num(s.stats.avg_bw_gbps, 1)};
         if (faults) {
             r.push_back(Table::num(s.predicted_cycles, 0));
@@ -718,9 +736,9 @@ cmdSimulate(const Options& o)
         std::cout << "(* = degraded to homogeneous execution after a "
                      "worker class died)\n";
     std::cout << "HotTiles vs BestHomogeneous: "
-              << Table::num(ev.bestHomogeneousCycles() /
-                                ev.hottiles.cycles(), 2)
-              << "x\n";
+              << ratioCell(ev.bestHomogeneousCycles(), ev.hottiles.cycles(),
+                           "x")
+              << "\n";
     if (obs.collect_prediction_error && !pred.empty())
         std::cout << "prediction error sampled over "
                   << pred.hot_tiles.size() << " hot tiles / "
