@@ -5,110 +5,19 @@
  * compare HotTiles against the baselines under all three kernels on
  * SPADE-Sextans scale 4.  Expected shape: the same hot/cold structure
  * drives all three; SpMV is even more memory-bound (speedups vs HotOnly
- * grow), SDDMM removes the output write-backs and the Merger.
- *
- * A second table reports what the *host* kernel library (docs/KERNELS.md)
- * achieves on the same three kernels — GFLOP/s of the fast-policy
- * micro-kernels on the active dispatch tier vs the forced-scalar tier —
- * grounding the modeled accelerator numbers in measured host arithmetic.
+ * grow), SDDMM removes the output write-backs and the Merger.  What the
+ * host kernel library achieves on the same kernels is measured by
+ * bench_kernel_throughput (docs/KERNELS.md).
  */
 
-#include <chrono>
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "common/random.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "kernels/dispatch.hpp"
-#include "sparse/csr.hpp"
-#include "sparse/dense.hpp"
-#include "sparse/generators.hpp"
 
 using namespace hottiles;
 using namespace hottiles::bench;
-
-namespace {
-
-/** GFLOP/s of @p call (called repeatedly for ~20ms after warm-up). */
-template <class F>
-double
-measureGflops(double flops_per_call, F&& call)
-{
-    const double min_ms = smokeMode() ? 4.0 : 20.0;
-    call();  // warm-up
-    int reps = 0;
-    double ms = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    do {
-        call();
-        ++reps;
-        ms = std::chrono::duration<double, std::milli>(
-                 std::chrono::steady_clock::now() - t0)
-                 .count();
-    } while (ms < min_ms && reps < 100000);
-    return flops_per_call * reps / (ms / 1e3) / 1e9;
-}
-
-/** Host kernel library GFLOP/s: active tier vs forced-scalar, K=32. */
-void
-printHostKernelTable()
-{
-    const Index k = 32;
-    CooMatrix coo = smokeMode() ? genUniform(512, 512, 8192, 0xC0FFEE)
-                                : genUniform(4096, 4096, 200000, 0xC0FFEE);
-    coo.sortRowMajor();
-    const CsrMatrix csr = CsrMatrix::fromCoo(coo);
-    const kernels::CsrView cv{csr.rowPtr().data(), csr.colIds().data(),
-                              csr.values().data(), csr.rows()};
-    const kernels::CooView ov{coo.rowIds().data(), coo.colIds().data(),
-                              coo.values().data(), coo.nnz()};
-    Rng rng(0xAB1E);
-    DenseMatrix din(coo.cols(), k);
-    DenseMatrix u(coo.rows(), k);
-    din.fillRandom(rng);
-    u.fillRandom(rng);
-    DenseMatrix dout(coo.rows(), k);
-    dout.fill(0);
-    std::vector<Value> x(coo.cols(), Value(0.5));
-    std::vector<Value> y(coo.rows());
-    std::vector<Value> sout(coo.nnz());
-    const double mac_flops = 2.0 * double(coo.nnz()) * k;
-
-    Table t({"Host kernel (fast policy)",
-             std::string(kernels::tierName(kernels::activeTier())) +
-                 " GF/s",
-             "scalar GF/s", "speedup"});
-    t.setAlign(0, Table::Align::Left);
-    const kernels::KernelOps& act =
-        kernels::opsForTier(kernels::activeTier());
-    const kernels::KernelOps& sca =
-        kernels::opsForTier(kernels::Tier::Scalar);
-    auto row = [&](const char* name, double flops, auto&& run) {
-        const double a = measureGflops(flops, [&] { run(act); });
-        const double s = measureGflops(flops, [&] { run(sca); });
-        t.addRow({name, Table::num(a, 2), Table::num(s, 2),
-                  Table::num(s > 0 ? a / s : 0, 2) + "x"});
-    };
-    row("SpMM CSR (K=32)", mac_flops, [&](const kernels::KernelOps& o) {
-        o.spmm_csr_fast(cv, k, din.row(0), dout.row(0), 0, csr.rows());
-    });
-    row("SpMV CSR", 2.0 * double(coo.nnz()),
-        [&](const kernels::KernelOps& o) {
-            o.spmv_csr_fast(cv, x.data(), y.data(), 0, csr.rows());
-        });
-    row("SDDMM (K=32)", mac_flops, [&](const kernels::KernelOps& o) {
-        o.sddmm_fast(ov, k, u.row(0), din.row(0), sout.data(), 0,
-                     coo.nnz());
-    });
-    std::cout << "\n";
-    t.print(std::cout);
-    std::cout << "Host micro-kernel throughput, single-threaded "
-                 "(bench_kernel_throughput has the full tier x K "
-                 "sweep).\n";
-}
-
-} // namespace
 
 int
 main(int argc, char** argv)
@@ -159,6 +68,5 @@ main(int argc, char** argv)
     std::cout << "\nGeomean HotTiles speedups over "
               << names.size() << " matrices; the partitioning structure "
                  "transfers across kernels (§X).\n";
-    printHostKernelTable();
     return 0;
 }

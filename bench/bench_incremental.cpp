@@ -5,16 +5,19 @@
  * HotTiles::applyDelta against a full from-scratch re-preprocessing of
  * the patched matrix, emitting BENCH_incremental.json.
  *
- * Per configuration: one warmup update first (the round that seeds the
- * partition sweep cache and the format build cache pays full price by
- * design), then measured rounds; update and rebuild times are medians
- * across rounds.  Every measured round checks bit-identity of the full
+ * Per configuration the bench runner interleaves the two: each round
+ * draws one batch, patches the live state with it (update) and
+ * preprocesses the patched matrix from scratch (rebuild).  The warm-up
+ * round seeds the partition sweep cache and the format build cache at
+ * full price by design; the speedup is the median of the per-round
+ * rebuild/update ratios.  Every round checks bit-identity of the full
  * preprocessed state (grid, partition, both formats) against the
  * rebuild, and one round per configuration additionally memcmps the
  * reference SpMM output.
  *
  * Flags (besides the shared --smoke / --threads):
- *   --out FILE   JSON output path (default BENCH_incremental.json)
+ *   --out FILE   JSON output path (default BENCH_incremental.json, or
+ *                BENCH_incremental.smoke.json under --smoke)
  *   --check      self-check gates, exit 1 on violation: every round of
  *                every configuration must be bit-identical, and every
  *                configuration whose delta dirties <= 1% of the tiles
@@ -24,14 +27,12 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/error.hpp"
-#include "common/metrics.hpp"
 #include "common/random.hpp"
 #include "common/table.hpp"
 #include "core/calibrate.hpp"
@@ -55,133 +56,91 @@ struct Config
     size_t deletes = 0;
 };
 
-struct Row
+struct Result
 {
-    std::string matrix;
-    Index rows = 0;
-    size_t nnz = 0;
-    size_t tiles = 0;
-    size_t delta_ops = 0;
-    size_t dirty_tiles = 0;     //!< median across measured rounds
-    double dirty_tile_frac = 0; //!< worst (max) across measured rounds
-    size_t migrated = 0;        //!< median across measured rounds
-    double update_ms = 0;       //!< median across measured rounds
-    double rebuild_ms = 0;      //!< median across measured rounds
-    double speedup = 0;
+    Row row;
+    double dirty_tile_frac = 0;  //!< worst (max) across measured rounds
+    double update_ms = 0;        //!< medians across measured rounds
+    double rebuild_ms = 0;
+    Spread speedup;
     bool identical = true;
 };
 
-double
-median(std::vector<double> v)
-{
-    HT_ASSERT(!v.empty(), "median of nothing");
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
-}
-
-/** RMAT skew matching the common graph-benchmark setting. */
-CooMatrix
-benchMatrix(const Config& c, uint64_t seed)
-{
-    return genRmat(c.rows, c.nnz, 0.57, 0.19, 0.19, 0.05, seed);
-}
-
-Row
-runConfig(const Config& c, const Architecture& arch, unsigned rounds)
+Result
+runConfig(const Config& c, const Architecture& arch)
 {
     HotTilesOptions opts;
-    CooMatrix m = benchMatrix(c, /*seed=*/7);
+    // RMAT skew matching the common graph-benchmark setting.
+    CooMatrix m = genRmat(c.rows, c.nnz, 0.57, 0.19, 0.19, 0.05, 7);
     HotTiles ht(arch, m, opts);
+    const size_t nnz = m.nnz();
+    const size_t tiles = ht.grid().numTiles();
 
     DenseMatrix din(m.cols(), opts.kernel.k);
     Rng rng(99);
     din.fillRandom(rng);
 
-    Row r;
-    r.matrix = c.name;
-    r.rows = c.rows;
-    r.nnz = m.nnz();
-    r.tiles = ht.grid().numTiles();
-    r.delta_ops = c.inserts + c.deletes;
-
-    // Warmup round: seeds the sweep/format caches at full cost; the
-    // steady state an update stream actually lives in starts after it.
-    uint64_t delta_seed = 1000;
-    {
-        DeltaBatch warm = genDeltaBatch(m, c.inserts, c.deletes, delta_seed);
-        ht.applyDelta(warm);
-        m = applyDeltaToCoo(m, warm);
-        ++delta_seed;
-    }
-
-    std::vector<double> update_ms, rebuild_ms, dirty, migrated;
-    for (unsigned round = 0; round < rounds; ++round, ++delta_seed) {
-        DeltaBatch batch =
-            genDeltaBatch(m, c.inserts, c.deletes, delta_seed);
-        double t0 = monotonicSeconds();
-        DeltaUpdateStats st = ht.applyDelta(batch);
-        update_ms.push_back((monotonicSeconds() - t0) * 1e3);
-
-        m = applyDeltaToCoo(m, batch);
-        t0 = monotonicSeconds();
-        HotTiles fresh(arch, m, opts);
-        rebuild_ms.push_back((monotonicSeconds() - t0) * 1e3);
-
-        dirty.push_back(double(st.dirty_tiles));
-        migrated.push_back(double(st.migrated_tiles));
-        r.dirty_tile_frac =
-            std::max(r.dirty_tile_frac,
-                     double(st.dirty_tiles) / double(ht.grid().numTiles()));
-
-        bool identical = samePreprocessedState(ht, fresh);
-        if (identical && round == 0) {
-            // State bit-identity already implies identical SpMM output;
-            // execute both once per configuration as belt and braces.
+    Result res;
+    DeltaBatch batch;
+    CooMatrix next;
+    std::unique_ptr<HotTiles> fresh;
+    // Bit-identity of the round just run; the first measured round also
+    // executes both states once as belt and braces.
+    auto verify = [&](unsigned round) {
+        bool identical = samePreprocessedState(ht, *fresh);
+        if (identical && round == 1) {
             DenseMatrix a = exec::referenceExecute(ht.grid(), ht.partition(),
                                                    opts.kernel, din);
             DenseMatrix b = exec::referenceExecute(
-                fresh.grid(), fresh.partition(), opts.kernel, din);
+                fresh->grid(), fresh->partition(), opts.kernel, din);
             identical = a.data().size() == b.data().size() &&
                         std::memcmp(a.data().data(), b.data().data(),
                                     a.data().size() * sizeof(Value)) == 0;
         }
-        r.identical = r.identical && identical;
-    }
-    r.dirty_tiles = size_t(median(dirty));
-    r.migrated = size_t(median(migrated));
-    r.update_ms = median(update_ms);
-    r.rebuild_ms = median(rebuild_ms);
-    r.speedup = r.update_ms > 0 ? r.rebuild_ms / r.update_ms : 0;
-    return r;
-}
+        res.identical = res.identical && identical;
+    };
 
-void
-writeJson(const std::string& path, const std::vector<Row>& rows, bool smoke)
-{
-    std::ofstream out(path);
-    HT_FATAL_IF(!out, "cannot open '", path, "' for writing");
-    out << "{\n"
-        << "  \"schema\": \"hottiles.bench_incremental.v1\",\n"
-        << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-        << "  \"metrics\": ";
-    MetricsRegistry::global().writeJson(out);
-    out << ",\n  \"results\": [\n";
-    for (size_t i = 0; i < rows.size(); ++i) {
-        const Row& r = rows[i];
-        out << "    {\"matrix\": \"" << r.matrix
-            << "\", \"rows\": " << r.rows << ", \"nnz\": " << r.nnz
-            << ", \"tiles\": " << r.tiles
-            << ", \"delta_ops\": " << r.delta_ops
-            << ", \"dirty_tiles\": " << r.dirty_tiles
-            << ", \"dirty_tile_frac\": " << r.dirty_tile_frac
-            << ", \"migrated\": " << r.migrated
-            << ", \"update_ms\": " << r.update_ms
-            << ", \"rebuild_ms\": " << r.rebuild_ms
-            << ", \"speedup\": " << r.speedup << ", \"identical\": "
-            << (r.identical ? "true" : "false") << "}"
-            << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
+    Runner runner;
+    runner.add([&] {
+        const double t0 = monotonicSeconds();
+        const DeltaUpdateStats st = ht.applyDelta(batch);
+        return Sample{{"update_ms", (monotonicSeconds() - t0) * 1e3},
+                      {"dirty_tiles", double(st.dirty_tiles)},
+                      {"migrated", double(st.migrated_tiles)}};
+    });
+    runner.add([&] {
+        const double t0 = monotonicSeconds();
+        fresh = std::make_unique<HotTiles>(arch, next, opts);
+        return Sample{{"rebuild_ms", (monotonicSeconds() - t0) * 1e3}};
+    });
+    runner.run([&](unsigned r) {
+        if (r > 0) {
+            verify(r - 1);
+            m = std::move(next);
+            fresh.reset();  // not inside the next rebuild's timing
+        }
+        batch = genDeltaBatch(m, c.inserts, c.deletes, 1000 + r);
+        next = applyDeltaToCoo(m, batch);
+    });
+    verify(rounds());
+
+    for (double d : runner.samples(0, "dirty_tiles"))
+        res.dirty_tile_frac = std::max(res.dirty_tile_frac, d / tiles);
+    res.update_ms = runner.spread(0, "update_ms").median;
+    res.rebuild_ms = runner.spread(1, "rebuild_ms").median;
+    res.speedup = ratioSpread(runner.samples(1, "rebuild_ms"),
+                              runner.samples(0, "update_ms"));
+    res.row.put("matrix", c.name)
+        .put("rows", c.rows)
+        .put("nnz", nnz)
+        .put("tiles", tiles)
+        .put("delta_ops", c.inserts + c.deletes)
+        .put(runner, 0)
+        .put(runner, 1)
+        .put("dirty_tile_frac", res.dirty_tile_frac)
+        .put("speedup", res.speedup)
+        .put("identical", res.identical);
+    return res;
 }
 
 } // namespace
@@ -193,10 +152,11 @@ main(int argc, char** argv)
     const char* usage = "usage: bench_incremental [--smoke] [--threads N] "
                         "[--out FILE] [--check]\n"
                         "  --out FILE    JSON output path (default "
-                        "BENCH_incremental.json)\n"
+                        "BENCH_incremental.json, "
+                        "BENCH_incremental.smoke.json under --smoke)\n"
                         "  --check       exit 1 when an incremental "
                         "gate fails\n";
-    std::string out_path = "BENCH_incremental.json";
+    std::string out_path = defaultOut("incremental");
     bool check = false;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
@@ -210,7 +170,6 @@ main(int argc, char** argv)
             exitUsage(usage, "unknown option '" + a + "'");
     }
 
-    const bool smoke = smokeMode();
     banner("Incremental updates", "docs/INCREMENTAL.md",
            "applyDelta vs full re-preprocessing on an RMAT update "
            "stream (bit-identity enforced every round)");
@@ -220,7 +179,7 @@ main(int argc, char** argv)
     // (well under 1% of the tiles) while the rebuild still pays for
     // every nonzero.  The larger-delta rows chart the crossover.
     std::vector<Config> configs;
-    if (smoke) {
+    if (smokeMode()) {
         configs = {
             {"rmat-15", Index(1) << 15, size_t(16) << 15, 4, 4},
             {"rmat-18", Index(1) << 18, size_t(16) << 18, 1, 1},
@@ -234,45 +193,44 @@ main(int argc, char** argv)
             {"rmat-18", Index(1) << 18, size_t(16) << 18, 1, 1},
         };
     }
-    const unsigned rounds = smoke ? 5 : 9;
 
     Architecture arch = calibrated(makeSpadeSextans(4));
-    Table t({"Matrix", "Tiles", "Ops", "Dirty tiles", "Dirty %", "Migrated",
-             "Update ms", "Rebuild ms", "Speedup", "Identical"});
-    std::vector<Row> rows;
+    Table t({"Matrix", "Ops", "Dirty %", "Update ms", "Rebuild ms",
+             "Speedup", "q1-q3", "Identical"});
+    std::vector<Row> results;
+    std::vector<std::string> failures;
+    size_t small_delta_rows = 0;
     for (const auto& c : configs) {
-        Row r = runConfig(c, arch, rounds);
-        t.addRow({r.matrix, std::to_string(r.tiles),
-                  std::to_string(r.delta_ops), std::to_string(r.dirty_tiles),
+        const Result r = runConfig(c, arch);
+        t.addRow({c.name, std::to_string(c.inserts + c.deletes),
                   Table::num(100.0 * r.dirty_tile_frac, 2),
-                  std::to_string(r.migrated), Table::num(r.update_ms, 3),
-                  Table::num(r.rebuild_ms, 3), Table::num(r.speedup, 2),
+                  Table::num(r.update_ms, 3), Table::num(r.rebuild_ms, 3),
+                  Table::num(r.speedup.median, 2),
+                  Table::num(r.speedup.q1, 2) + "-" +
+                      Table::num(r.speedup.q3, 2),
                   r.identical ? "yes" : "NO"});
-        rows.push_back(r);
+        results.push_back(r.row);
+        if (!r.identical)
+            failures.push_back(c.name + ": update diverged from rebuild");
+        if (r.dirty_tile_frac <= 0.01) {
+            ++small_delta_rows;
+            if (r.speedup.median < 5.0)
+                failures.push_back(
+                    c.name + ": speedup " + Table::num(r.speedup.median, 2) +
+                    "x < 5x at dirty fraction " +
+                    Table::num(100.0 * r.dirty_tile_frac, 2) + "%");
+        }
     }
+    if (small_delta_rows == 0)
+        failures.push_back("no configuration dirtied <= 1% of tiles; "
+                           "the 5x gate was never exercised");
     t.print(std::cout);
-    writeJson(out_path, rows, smoke);
+    std::cout << "(speedup: median of " << rounds()
+              << " interleaved rebuild/update ratios)\n";
+    writeReport(out_path, "incremental", {}, results);
     std::cout << "\nwrote " << out_path << "\n";
 
     if (check) {
-        std::vector<std::string> failures;
-        size_t small_delta_rows = 0;
-        for (const Row& r : rows) {
-            if (!r.identical)
-                failures.push_back(r.matrix +
-                                   ": update diverged from rebuild");
-            if (r.dirty_tile_frac <= 0.01) {
-                ++small_delta_rows;
-                if (r.speedup < 5.0)
-                    failures.push_back(
-                        r.matrix + ": speedup " + Table::num(r.speedup, 2) +
-                        "x < 5x at dirty fraction " +
-                        Table::num(100.0 * r.dirty_tile_frac, 2) + "%");
-            }
-        }
-        if (small_delta_rows == 0)
-            failures.push_back("no configuration dirtied <= 1% of tiles; "
-                               "the 5x gate was never exercised");
         if (!failures.empty()) {
             for (const auto& f : failures)
                 std::cerr << "CHECK FAILED: " << f << "\n";

@@ -10,13 +10,16 @@
  * per host, but the *ratio* of a vector tier to the genuinely-scalar
  * tier (tier_scalar.cpp is compiled with auto-vectorization off) is a
  * property of the kernels.  --check compares those ratios against a
- * checked-in baseline, and additionally enforces the PR's hard floor:
- * the best vector tier must run fast-policy CSR SpMM at K=32 at a
+ * checked-in baseline, and additionally enforces a hard floor: the
+ * best vector tier must run fast-policy CSR SpMM at K=32 at a
  * >= --min-spmm-speedup (default 3.0) geomean over the bench matrices.
- * On a scalar-only build/CPU both gates are skipped with a notice.
+ * On a scalar-only build/CPU both gates are skipped with a notice.  The
+ * tiers of one (matrix, kernel, K) are interleaved by the bench runner,
+ * and a ratio is the median of the per-round ratios.
  *
  * Flags (besides the shared --smoke / --threads):
- *   --out FILE             JSON output path (default BENCH_kernels.json)
+ *   --out FILE             JSON output path (default BENCH_kernels.json,
+ *                          or BENCH_kernels.smoke.json under --smoke)
  *   --check FILE           compare tier-vs-scalar GFLOP/s ratios against
  *                          a baseline JSON; exit 1 on regression
  *   --tolerance F          allowed relative ratio regression (default 0.40)
@@ -24,20 +27,16 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <set>
-#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/error.hpp"
-#include "common/metrics.hpp"
 #include "common/random.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -58,9 +57,7 @@ struct Cell
     std::string kernel;
     std::string tier;
     Index k = 0;  //!< 1 for the K-independent SpMV kernels
-    double gflops = 0;
-    double ms_per_call = 0;
-    int reps = 0;
+    double vs_scalar = 0;  //!< median per-round GFLOP/s ratio to scalar
 };
 
 /** One bench matrix with its derived forms and dense operands. */
@@ -105,155 +102,19 @@ makeWorkloads()
     return out;
 }
 
-hk::CsrView
-csrView(const CsrMatrix& m)
+/** One timed call of a kernel cell: GFLOP/s over a time budget. */
+bench::Sample
+budgetCall(double flops_per_call, const std::function<void()>& call)
 {
-    return {m.rowPtr().data(), m.colIds().data(), m.values().data(),
-            m.rows()};
-}
-
-hk::CooView
-cooView(const CooMatrix& m)
-{
-    return {m.rowIds().data(), m.colIds().data(), m.values().data(),
-            m.nnz()};
-}
-
-/**
- * Time one kernel call: warm-up, then best-of-N repeat-until-budget
- * trials.  Taking the fastest trial (minimum time) is the standard
- * robust throughput estimator — scheduler interference and frequency
- * dips only ever make a trial slower, so the max GFLOP/s across trials
- * is the least-noisy observation.
- */
-template <class F>
-Cell
-timeKernel(const std::string& matrix, const std::string& kernel,
-           const std::string& tier, Index k, double flops_per_call, F&& call)
-{
-    const double min_ms = bench::smokeMode() ? 4.0 : 25.0;
-    const int max_reps = bench::smokeMode() ? 512 : 100000;
-    const int trials = bench::smokeMode() ? 3 : 2;
-    call();  // warm-up
-    Cell c;
-    c.matrix = matrix;
-    c.kernel = kernel;
-    c.tier = tier;
-    c.k = k;
-    for (int trial = 0; trial < trials; ++trial) {
-        int reps = 0;
-        double ms = 0;
-        const auto t0 = std::chrono::steady_clock::now();
-        do {
-            call();
-            ++reps;
-            ms = std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count();
-        } while (ms < min_ms && reps < max_reps);
-        const double gflops = flops_per_call * reps / (ms / 1e3) / 1e9;
-        if (gflops > c.gflops) {
-            c.gflops = gflops;
-            c.ms_per_call = ms / reps;
-            c.reps = reps;
-        }
-    }
-    return c;
-}
-
-void
-writeJson(const std::string& path, const std::vector<Cell>& cells,
-          bool smoke, double spmm_fast_k32_speedup,
-          const std::map<std::string, double>& tier_geomeans)
-{
-    std::ofstream out(path);
-    HT_FATAL_IF(!out, "cannot open '", path, "' for writing");
-    out << "{\n"
-        << "  \"schema\": \"hottiles.bench_kernels.v1\",\n"
-        << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-        << "  \"active_tier\": \"" << hk::tierName(hk::activeTier())
-        << "\",\n"
-        << "  \"spmm_csr_fast_k32_geomean_speedup_vs_scalar\": "
-        << spmm_fast_k32_speedup << ",\n"
-        << "  \"geomean_gflops_vs_scalar\": {";
-    bool first = true;
-    for (const auto& [tier, g] : tier_geomeans) {
-        out << (first ? "" : ", ") << "\"" << tier << "\": " << g;
-        first = false;
-    }
-    out << "},\n  \"metrics\": ";
-    MetricsRegistry::global().writeJson(out);
-    out << ",\n  \"results\": [\n";
-    for (size_t i = 0; i < cells.size(); ++i) {
-        const Cell& c = cells[i];
-        out << "    {\"matrix\": \"" << c.matrix << "\", \"kernel\": \""
-            << c.kernel << "\", \"tier\": \"" << c.tier
-            << "\", \"k\": " << c.k << ", \"gflops\": " << c.gflops
-            << ", \"ms_per_call\": " << c.ms_per_call
-            << ", \"reps\": " << c.reps << "}"
-            << (i + 1 < cells.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-}
-
-// -- Minimal parser for our own baseline JSON (same approach as
-// -- bench_sim_perf: no JSON library in the toolchain).
-
-std::string
-extractString(const std::string& obj, const std::string& key)
-{
-    const std::string pat = "\"" + key + "\": \"";
-    const size_t p = obj.find(pat);
-    HT_FATAL_IF(p == std::string::npos, "baseline JSON misses key ", key);
-    const size_t b = p + pat.size();
-    return obj.substr(b, obj.find('"', b) - b);
-}
-
-double
-extractNumber(const std::string& obj, const std::string& key)
-{
-    const std::string pat = "\"" + key + "\": ";
-    const size_t p = obj.find(pat);
-    HT_FATAL_IF(p == std::string::npos, "baseline JSON misses key ", key);
-    return std::strtod(obj.c_str() + p + pat.size(), nullptr);
+    const bench::Budget b =
+        bench::smokeMode() ? bench::repeatFor(4.0, 512, call)
+                           : bench::repeatFor(25.0, 100000, call);
+    return {{"gflops", flops_per_call * b.reps / (b.ms / 1e3) / 1e9},
+            {"ms_per_call", b.ms / b.reps},
+            {"reps", double(b.reps)}};
 }
 
 using CellKey = std::tuple<std::string, std::string, std::string, Index>;
-
-std::map<CellKey, double>
-readBaselineGflops(const std::string& path)
-{
-    std::ifstream in(path);
-    HT_FATAL_IF(!in, "cannot open baseline '", path, "'");
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string text = ss.str();
-    std::map<CellKey, double> out;
-    size_t pos = text.find("\"results\"");
-    HT_FATAL_IF(pos == std::string::npos, "baseline JSON has no results");
-    while ((pos = text.find('{', pos + 1)) != std::string::npos) {
-        const size_t end = text.find('}', pos);
-        if (end == std::string::npos)
-            break;
-        const std::string obj = text.substr(pos, end - pos + 1);
-        out[{extractString(obj, "matrix"), extractString(obj, "kernel"),
-             extractString(obj, "tier"),
-             Index(extractNumber(obj, "k"))}] =
-            extractNumber(obj, "gflops");
-        pos = end;
-    }
-    return out;
-}
-
-double
-gflopsOf(const std::vector<Cell>& cells, const std::string& m,
-         const std::string& kern, const std::string& tier, Index k)
-{
-    for (const Cell& c : cells)
-        if (c.matrix == m && c.kernel == kern && c.tier == tier && c.k == k)
-            return c.gflops;
-    return 0;
-}
 
 int
 checkAgainstBaseline(const std::vector<Cell>& cells,
@@ -261,7 +122,13 @@ checkAgainstBaseline(const std::vector<Cell>& cells,
                      double min_spmm_speedup,
                      double spmm_fast_k32_speedup)
 {
-    auto baseline = readBaselineGflops(path);
+    std::map<CellKey, double> baseline;
+    for (const bench::Object& row : bench::readResults(path))
+        baseline[{bench::field<std::string>(row, "matrix"),
+                  bench::field<std::string>(row, "kernel"),
+                  bench::field<std::string>(row, "tier"),
+                  Index(bench::field<double>(row, "k"))}] =
+            bench::field<double>(row, "gflops");
     // Tiers the baseline run measured at all.  A whole tier absent from
     // the baseline (e.g. AVX-512 locally vs an AVX2 CI runner) is
     // hardware skew and is not gated — but a missing (matrix, kernel,
@@ -275,8 +142,6 @@ checkAgainstBaseline(const std::vector<Cell>& cells,
     for (const Cell& c : cells) {
         if (c.tier == "scalar")
             continue;
-        const double scalar_now =
-            gflopsOf(cells, c.matrix, c.kernel, "scalar", c.k);
         auto vec_it = baseline.find({c.matrix, c.kernel, c.tier, c.k});
         auto sc_it = baseline.find({c.matrix, c.kernel, "scalar", c.k});
         if (!baseline_tiers.count(c.tier))
@@ -295,16 +160,16 @@ checkAgainstBaseline(const std::vector<Cell>& cells,
             ++failures;
             continue;
         }
-        if (scalar_now <= 0 || sc_it == baseline.end() ||
+        if (c.vs_scalar <= 0 || sc_it == baseline.end() ||
             sc_it->second <= 0)
             continue;
-        const double ratio_now = c.gflops / scalar_now;
+        // Now: the median of the per-round ratios of interleaved trials.
         const double ratio_then = vec_it->second / sc_it->second;
-        if (ratio_now < (1.0 - tolerance) * ratio_then) {
+        if (c.vs_scalar < (1.0 - tolerance) * ratio_then) {
             std::printf("REGRESSION %s/%s/%s@K=%u: vs-scalar ratio %.2f "
                         "(baseline %.2f, tolerance %.0f%%)\n",
                         c.matrix.c_str(), c.kernel.c_str(), c.tier.c_str(),
-                        unsigned(c.k), ratio_now, ratio_then,
+                        unsigned(c.k), c.vs_scalar, ratio_then,
                         tolerance * 100);
             ++failures;
         }
@@ -339,14 +204,14 @@ main(int argc, char** argv)
         "[--out FILE] [--check FILE] [--tolerance F] "
         "[--min-spmm-speedup F]\n"
         "  --out FILE             JSON output path (default "
-        "BENCH_kernels.json)\n"
+        "BENCH_kernels.json, BENCH_kernels.smoke.json under --smoke)\n"
         "  --check FILE           exit 1 when a tier-vs-scalar ratio "
         "regresses against this baseline JSON\n"
         "  --tolerance F          allowed relative ratio regression "
         "(default 0.40)\n"
         "  --min-spmm-speedup F   floor for fast CSR SpMM @ K=32 vs "
         "scalar (default 3.0)\n";
-    std::string out_path = "BENCH_kernels.json";
+    std::string out_path = bench::defaultOut("kernels");
     std::string check_path;
     double tolerance = 0.40;
     double min_spmm_speedup = 3.0;
@@ -380,6 +245,7 @@ main(int argc, char** argv)
                 hk::scalarForced() ? ", force-scalar" : "");
 
     std::vector<Cell> cells;
+    std::vector<bench::Row> results;
     std::vector<std::string> header = {"Matrix", "Kernel", "K"};
     for (hk::Tier t : tiers)
         header.push_back(std::string(hk::tierName(t)) + " GF/s");
@@ -391,9 +257,54 @@ main(int argc, char** argv)
     GeoMean spmm_fast_k32;
     std::map<std::string, GeoMean> tier_geo;
 
+    // The accumulating kernels grow their outputs with every call, and
+    // a kernel's speed can depend on those values: every sample starts
+    // from zeroed outputs.
+    std::function<void()> zero_outputs;
+    // One (matrix, kernel, K) row: its tiers interleaved by the runner;
+    // tiers[0] is the genuinely-scalar tier every ratio divides by.
+    auto sweep = [&](const std::string& matrix, const std::string& kernel,
+                     Index k, double flops,
+                     const std::function<void(const hk::KernelOps&)>& call) {
+        bench::Runner runner;
+        for (hk::Tier t : tiers)
+            runner.add([&, &ops = hk::opsForTier(t)] {
+                zero_outputs();
+                return budgetCall(flops, [&] { call(ops); });
+            });
+        runner.run();
+        std::vector<std::string> row = {matrix, kernel, std::to_string(k)};
+        const std::vector<double> scalar = runner.samples(0, "gflops");
+        double best = 0;
+        for (size_t i = 0; i < tiers.size(); ++i) {
+            const bench::Spread ratio =
+                bench::ratioSpread(runner.samples(i, "gflops"), scalar);
+            cells.push_back(
+                {matrix, kernel, hk::tierName(tiers[i]), k, ratio.median});
+            results.push_back(bench::Row()
+                                  .put("matrix", matrix)
+                                  .put("kernel", kernel)
+                                  .put("tier", hk::tierName(tiers[i]))
+                                  .put("k", k)
+                                  .put(runner, i)
+                                  .put("vs_scalar", ratio));
+            row.push_back(
+                Table::num(runner.spread(i, "gflops").median, 2));
+            best = std::max(best, ratio.median);
+            if (i > 0 && ratio.median > 0)
+                tier_geo[hk::tierName(tiers[i])].add(ratio.median);
+        }
+        row.push_back(Table::num(best, 2) + "x");
+        table.addRow(row);
+        if (kernel == "spmm_csr_fast" && k == 32 && best > 0)
+            spmm_fast_k32.add(best);
+    };
+
     for (const Workload& w : makeWorkloads()) {
-        const hk::CsrView cv = csrView(w.csr);
-        const hk::CooView ov = cooView(w.coo);
+        const hk::CsrView cv{w.csr.rowPtr().data(), w.csr.colIds().data(),
+                             w.csr.values().data(), w.csr.rows()};
+        const hk::CooView ov{w.coo.rowIds().data(), w.coo.colIds().data(),
+                             w.coo.values().data(), w.coo.nnz()};
         const Index rows = w.coo.rows();
         const Index cols = w.coo.cols();
         const size_t nnz = w.coo.nnz();
@@ -415,127 +326,74 @@ main(int argc, char** argv)
         for (Value& v : x)
             v = static_cast<Value>(rng.nextDouble(-1.0, 1.0));
         std::vector<double> yacc(rows, 0.0);
-        struct Row
-        {
-            std::string kernel;
-            Index k;
-            std::vector<Cell> per_tier;
-        };
-        std::vector<Row> rows_out;
-        for (hk::Tier t : tiers) {
-            const hk::KernelOps& ops = hk::opsForTier(t);
-            const std::string tn = hk::tierName(t);
-            auto push = [&](const std::string& kern, Index k, Cell c) {
-                for (Row& r : rows_out)
-                    if (r.kernel == kern && r.k == k) {
-                        r.per_tier.push_back(std::move(c));
-                        return;
-                    }
-                rows_out.push_back({kern, k, {std::move(c)}});
-            };
-            push("spmv_csr_fast", 1,
-                 timeKernel(w.name, "spmv_csr_fast", tn, 1, 2.0 * nnz,
-                            [&] {
-                                ops.spmv_csr_fast(cv, x.data(), y.data(),
-                                                  0, rows);
-                            }));
-            push("spmv_coo_golden", 1,
-                 timeKernel(w.name, "spmv_coo_golden", tn, 1, 2.0 * nnz,
-                            [&] {
-                                ops.spmv_coo_golden(ov, x.data(),
-                                                    yacc.data(), 0, nnz);
-                            }));
-            for (Index k : w.ks) {
-                DenseMatrix din(cols, k);
-                DenseMatrix u(rows, k);
-                din.fillRandom(rng);
-                u.fillRandom(rng);
-                DenseMatrix dout(rows, k);
+        zero_outputs = [&] { std::fill(yacc.begin(), yacc.end(), 0.0); };
+        sweep(w.name, "spmv_csr_fast", 1, 2.0 * nnz,
+              [&](const hk::KernelOps& ops) {
+                  ops.spmv_csr_fast(cv, x.data(), y.data(), 0, rows);
+              });
+        sweep(w.name, "spmv_coo_golden", 1, 2.0 * nnz,
+              [&](const hk::KernelOps& ops) {
+                  ops.spmv_coo_golden(ov, x.data(), yacc.data(), 0, nnz);
+              });
+        for (Index k : w.ks) {
+            DenseMatrix din(cols, k);
+            DenseMatrix u(rows, k);
+            din.fillRandom(rng);
+            u.fillRandom(rng);
+            DenseMatrix dout(rows, k);
+            std::vector<double> acc(size_t(rows) * k, 0.0);
+            std::vector<Value> sout(nnz, 0);
+            zero_outputs = [&] {
                 dout.fill(0);
-                std::vector<double> acc(size_t(rows) * k, 0.0);
-                std::vector<Value> sout(nnz, 0);
-                const double mac_flops = 2.0 * double(nnz) * k;
-                push("spmm_csr_golden", k,
-                     timeKernel(w.name, "spmm_csr_golden", tn, k,
-                                mac_flops, [&] {
-                                    ops.spmm_csr_golden(cv, k, din.row(0),
-                                                        dout.row(0), 0,
-                                                        rows);
-                                }));
-                push("spmm_csr_fast", k,
-                     timeKernel(w.name, "spmm_csr_fast", tn, k, mac_flops,
-                                [&] {
-                                    ops.spmm_csr_fast(cv, k, din.row(0),
-                                                      dout.row(0), 0,
-                                                      rows);
-                                }));
-                push("spmm_coo_golden", k,
-                     timeKernel(w.name, "spmm_coo_golden", tn, k,
-                                mac_flops, [&] {
-                                    ops.spmm_coo_golden(ov, k, din.row(0),
-                                                        acc.data(), 0, 0,
-                                                        nnz);
-                                }));
-                push("spmm_coo_fast", k,
-                     timeKernel(w.name, "spmm_coo_fast", tn, k, mac_flops,
-                                [&] {
-                                    ops.spmm_coo_fast(ov, k, din.row(0),
-                                                      dout.row(0), 0,
-                                                      nnz);
-                                }));
-                push("sddmm_golden", k,
-                     timeKernel(w.name, "sddmm_golden", tn, k, mac_flops,
-                                [&] {
-                                    ops.sddmm_golden(ov, k, u.row(0),
-                                                     din.row(0),
-                                                     sout.data(), 0, nnz);
-                                }));
-                push("sddmm_fast", k,
-                     timeKernel(w.name, "sddmm_fast", tn, k, mac_flops,
-                                [&] {
-                                    ops.sddmm_fast(ov, k, u.row(0),
-                                                   din.row(0), sout.data(),
-                                                   0, nnz);
-                                }));
-                push("gspmm_ai_x4", k,
-                     timeKernel(w.name, "gspmm_ai_x4", tn, k,
-                                4.0 * mac_flops, [&] {
-                                    ops.gspmm_ai(ov, k, 4, din.row(0),
-                                                 dout.row(0), 0, nnz);
-                                }));
-            }
-        }
-        for (const Row& r : rows_out) {
-            std::vector<std::string> cols_out = {w.name, r.kernel,
-                                                 std::to_string(r.k)};
-            double scalar_gf = 0, best_gf = 0;
-            for (const Cell& c : r.per_tier) {
-                cols_out.push_back(Table::num(c.gflops, 2));
-                if (c.tier == "scalar")
-                    scalar_gf = c.gflops;
-                best_gf = std::max(best_gf, c.gflops);
-                cells.push_back(c);
-            }
-            const double speedup =
-                scalar_gf > 0 ? best_gf / scalar_gf : 0;
-            cols_out.push_back(Table::num(speedup, 2) + "x");
-            table.addRow(cols_out);
-            if (speedup > 0) {
-                if (r.kernel == "spmm_csr_fast" && r.k == 32)
-                    spmm_fast_k32.add(speedup);
-                for (const Cell& c : r.per_tier)
-                    if (c.tier != "scalar" && scalar_gf > 0)
-                        tier_geo[c.tier].add(c.gflops / scalar_gf);
-            }
+                std::fill(acc.begin(), acc.end(), 0.0);
+            };
+            const double mac_flops = 2.0 * double(nnz) * k;
+            sweep(w.name, "spmm_csr_golden", k, mac_flops,
+                  [&](const hk::KernelOps& ops) {
+                      ops.spmm_csr_golden(cv, k, din.row(0), dout.row(0), 0,
+                                          rows);
+                  });
+            sweep(w.name, "spmm_csr_fast", k, mac_flops,
+                  [&](const hk::KernelOps& ops) {
+                      ops.spmm_csr_fast(cv, k, din.row(0), dout.row(0), 0,
+                                        rows);
+                  });
+            sweep(w.name, "spmm_coo_golden", k, mac_flops,
+                  [&](const hk::KernelOps& ops) {
+                      ops.spmm_coo_golden(ov, k, din.row(0), acc.data(), 0,
+                                          0, nnz);
+                  });
+            sweep(w.name, "spmm_coo_fast", k, mac_flops,
+                  [&](const hk::KernelOps& ops) {
+                      ops.spmm_coo_fast(ov, k, din.row(0), dout.row(0), 0,
+                                        nnz);
+                  });
+            sweep(w.name, "sddmm_golden", k, mac_flops,
+                  [&](const hk::KernelOps& ops) {
+                      ops.sddmm_golden(ov, k, u.row(0), din.row(0),
+                                       sout.data(), 0, nnz);
+                  });
+            sweep(w.name, "sddmm_fast", k, mac_flops,
+                  [&](const hk::KernelOps& ops) {
+                      ops.sddmm_fast(ov, k, u.row(0), din.row(0),
+                                     sout.data(), 0, nnz);
+                  });
+            sweep(w.name, "gspmm_ai_x4", k, 4.0 * mac_flops,
+                  [&](const hk::KernelOps& ops) {
+                      ops.gspmm_ai(ov, k, 4, din.row(0), dout.row(0), 0,
+                                   nnz);
+                  });
         }
     }
     table.print(std::cout);
-    std::printf("(best/scalar compares the fastest tier against the "
-                "genuinely-scalar tier table)\n");
-    std::map<std::string, double> tier_geomeans;
-    tier_geomeans["scalar"] = 1.0;
+    std::printf("(medians of %u interleaved rounds; best/scalar is the "
+                "median per-round ratio of the fastest tier over the "
+                "genuinely-scalar tier table)\n",
+                bench::rounds());
+    bench::Row tier_geomeans;
+    tier_geomeans.put("scalar", 1.0);
     for (auto& [tier, g] : tier_geo) {
-        tier_geomeans[tier] = g.value();
+        tier_geomeans.put(tier, g.value());
         std::printf("geomean %s vs scalar (all kernels/K): %.2fx\n",
                     tier.c_str(), g.value());
     }
@@ -545,7 +403,13 @@ main(int argc, char** argv)
         std::printf("geomean fast CSR SpMM @ K=32 vs scalar: %.2fx\n",
                     spmm32);
 
-    writeJson(out_path, cells, bench::smokeMode(), spmm32, tier_geomeans);
+    bench::writeReport(
+        out_path, "kernels",
+        bench::Row()
+            .put("active_tier", hk::tierName(hk::activeTier()))
+            .put("spmm_csr_fast_k32_geomean_speedup_vs_scalar", spmm32)
+            .put("geomean_gflops_vs_scalar", tier_geomeans),
+        results);
     std::printf("wrote %s\n", out_path.c_str());
 
     if (!check_path.empty())

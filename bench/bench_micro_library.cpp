@@ -4,7 +4,8 @@
  * tiling throughput, per-tile model evaluation, the O(N log N)
  * partitioning heuristics (demonstrating their scaling), cache lookups,
  * and the event queue.  These back the paper's preprocessing-cost
- * claims (§V-B, §VIII-C) at the component level.
+ * claims (§V-B, §VIII-C) at the component level.  The SIMD kernels are
+ * timed by bench_kernel_throughput alone.
  */
 
 #include <algorithm>
@@ -14,14 +15,11 @@
 #include "bench_util.hpp"
 #include "common/random.hpp"
 #include "common/units.hpp"
-#include "kernels/dispatch.hpp"
 #include "model/time_model.hpp"
 #include "partition/heuristics.hpp"
 #include "sim/cache.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/memory_system.hpp"
-#include "sparse/csr.hpp"
-#include "sparse/dense.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/tiling.hpp"
 
@@ -151,131 +149,6 @@ BM_EventQueueThroughput(benchmark::State& state)
     state.SetItemsProcessed(int64_t(state.iterations()) * 10000);
 }
 BENCHMARK(BM_EventQueueThroughput)->Unit(benchmark::kMillisecond);
-
-// -- Kernel library micro-benchmarks (docs/KERNELS.md).  state.range(0)
-// -- selects the dispatch tier index in kernels::supportedTiers(), so
-// -- one binary reports every tier the host can run; items/sec counts
-// -- scalar MAC flops.
-
-struct KernelFixture
-{
-    Index k = 32;  // before din/dout: members initialize in this order
-    CooMatrix coo;
-    CsrMatrix csr;
-    DenseMatrix din;
-    DenseMatrix dout;
-
-    KernelFixture()
-        : coo([] {
-              CooMatrix m = bench::smokeMode()
-                                ? genUniform(512, 512, 8192, 0xC0FFEE)
-                                : genUniform(4096, 4096, 200000, 0xC0FFEE);
-              m.sortRowMajor();
-              return m;
-          }()),
-          csr(CsrMatrix::fromCoo(coo)), din(coo.cols(), k),
-          dout(coo.rows(), k)
-    {
-        Rng rng(0xAB1E);
-        din.fillRandom(rng);
-        dout.fill(0);
-    }
-
-    static KernelFixture& get()
-    {
-        static KernelFixture f;
-        return f;
-    }
-    kernels::CsrView csrView() const
-    {
-        return {csr.rowPtr().data(), csr.colIds().data(),
-                csr.values().data(), csr.rows()};
-    }
-    kernels::CooView cooView() const
-    {
-        return {coo.rowIds().data(), coo.colIds().data(),
-                coo.values().data(), coo.nnz()};
-    }
-};
-
-/** One Arg per supported dispatch tier (index into supportedTiers()). */
-void
-TierArgs(benchmark::internal::Benchmark* b)
-{
-    const auto tiers = kernels::supportedTiers();
-    for (size_t i = 0; i < tiers.size(); ++i)
-        b->Arg(int64_t(i));
-}
-
-const kernels::KernelOps&
-tierOps(benchmark::State& state)
-{
-    const auto tiers = kernels::supportedTiers();
-    const kernels::Tier t = tiers.at(size_t(state.range(0)));
-    state.SetLabel(kernels::tierName(t));
-    return kernels::opsForTier(t);
-}
-
-void
-BM_KernelSpmmCsrFast(benchmark::State& state)
-{
-    KernelFixture& f = KernelFixture::get();
-    const kernels::KernelOps& ops = tierOps(state);
-    for (auto _ : state)
-        ops.spmm_csr_fast(f.csrView(), f.k, f.din.row(0), f.dout.row(0),
-                          0, f.csr.rows());
-    state.SetItemsProcessed(int64_t(state.iterations()) * 2 *
-                            int64_t(f.coo.nnz()) * f.k);
-}
-BENCHMARK(BM_KernelSpmmCsrFast)->Apply(TierArgs)
-    ->Unit(benchmark::kMillisecond);
-
-void
-BM_KernelSpmmCsrGolden(benchmark::State& state)
-{
-    KernelFixture& f = KernelFixture::get();
-    const kernels::KernelOps& ops = tierOps(state);
-    for (auto _ : state)
-        ops.spmm_csr_golden(f.csrView(), f.k, f.din.row(0), f.dout.row(0),
-                            0, f.csr.rows());
-    state.SetItemsProcessed(int64_t(state.iterations()) * 2 *
-                            int64_t(f.coo.nnz()) * f.k);
-}
-BENCHMARK(BM_KernelSpmmCsrGolden)->Apply(TierArgs)
-    ->Unit(benchmark::kMillisecond);
-
-void
-BM_KernelSpmvCsrFast(benchmark::State& state)
-{
-    KernelFixture& f = KernelFixture::get();
-    const kernels::KernelOps& ops = tierOps(state);
-    std::vector<Value> x(f.coo.cols(), Value(0.5));
-    std::vector<Value> y(f.coo.rows());
-    for (auto _ : state)
-        ops.spmv_csr_fast(f.csrView(), x.data(), y.data(), 0,
-                          f.csr.rows());
-    state.SetItemsProcessed(int64_t(state.iterations()) * 2 *
-                            int64_t(f.coo.nnz()));
-}
-BENCHMARK(BM_KernelSpmvCsrFast)->Apply(TierArgs);
-
-void
-BM_KernelSddmmFast(benchmark::State& state)
-{
-    KernelFixture& f = KernelFixture::get();
-    const kernels::KernelOps& ops = tierOps(state);
-    Rng rng(0xF00D);
-    DenseMatrix u(f.coo.rows(), f.k);
-    u.fillRandom(rng);
-    std::vector<Value> out(f.coo.nnz());
-    for (auto _ : state)
-        ops.sddmm_fast(f.cooView(), f.k, u.row(0), f.din.row(0),
-                       out.data(), 0, f.coo.nnz());
-    state.SetItemsProcessed(int64_t(state.iterations()) * 2 *
-                            int64_t(f.coo.nnz()) * f.k);
-}
-BENCHMARK(BM_KernelSddmmFast)->Apply(TierArgs)
-    ->Unit(benchmark::kMillisecond);
 
 void
 BM_MemorySystemContention(benchmark::State& state)

@@ -3,12 +3,14 @@
  * Native execution throughput harness (docs/EXECUTION.md): runs each
  * bench matrix's partition plan for real on the host CPU under four
  * assignment strategies — the HotTiles plan, the IMH-unaware random
- * split, and the two homogeneous degenerates (AllHot / AllCold) — and
- * emits BENCH_native.json with GFLOP/s plus the per-class
+ * split, and the two homogeneous degenerates (AllHot / AllCold),
+ * interleaved per matrix by the bench runner — and emits
+ * BENCH_native.json with GFLOP/s plus the per-class
  * measured-vs-predicted model error of every matrix x strategy cell.
  *
  * Flags (besides the shared --smoke / --threads):
- *   --out FILE   JSON output path (default BENCH_native.json)
+ *   --out FILE   JSON output path (default BENCH_native.json, or
+ *                BENCH_native.smoke.json under --smoke)
  *   --check      self-check gates, exit 1 on violation: every Golden
  *                run must be bit-identical to the serial reference
  *                executor, every Fast run within kernel tolerance of
@@ -17,7 +19,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -25,7 +26,6 @@
 #include "arch/arch_config.hpp"
 #include "bench_util.hpp"
 #include "common/error.hpp"
-#include "common/metrics.hpp"
 #include "common/random.hpp"
 #include "common/table.hpp"
 #include "core/hottiles.hpp"
@@ -39,54 +39,17 @@ using namespace hottiles;
 
 namespace {
 
+/** One assignment strategy of one matrix: its plan and run options. */
 struct Cell
 {
-    std::string matrix;
-    std::string strategy;
-    double gflops = 0;
-    double wall_ms = 0;
-    double prepare_ms = 0;
-    double hot_nnz_fraction = 0;
-    double hot_err_mean_pct = 0;   //!< 0 when the class had no samples
-    double cold_err_mean_pct = 0;
-    size_t stolen_tasks = 0;
-    unsigned threads = 0;
+    const char* name;
+    Partition plan;
+    exec::NativeExecOptions eo;
+    DenseMatrix ref;  //!< reference output, under --check only
+    bool hot_units = false;   //!< the hot class reported unit times
+    bool cold_units = false;
+    unsigned threads = 0;     //!< pool parallelism the runs used
 };
-
-struct CheckFailure
-{
-    std::string what;
-};
-
-void
-writeJson(const std::string& path, const std::vector<Cell>& cells,
-          bool smoke)
-{
-    std::ofstream out(path);
-    HT_FATAL_IF(!out, "cannot open '", path, "' for writing");
-    out << "{\n"
-        << "  \"schema\": \"hottiles.bench_native.v1\",\n"
-        << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-        << "  \"active_tier\": \""
-        << kernels::tierName(kernels::activeTier()) << "\",\n"
-        << "  \"metrics\": ";
-    MetricsRegistry::global().writeJson(out);
-    out << ",\n  \"results\": [\n";
-    for (size_t i = 0; i < cells.size(); ++i) {
-        const Cell& c = cells[i];
-        out << "    {\"matrix\": \"" << c.matrix << "\", \"strategy\": \""
-            << c.strategy << "\", \"gflops\": " << c.gflops
-            << ", \"wall_ms\": " << c.wall_ms
-            << ", \"prepare_ms\": " << c.prepare_ms
-            << ", \"hot_nnz_fraction\": " << c.hot_nnz_fraction
-            << ", \"hot_err_mean_pct\": " << c.hot_err_mean_pct
-            << ", \"cold_err_mean_pct\": " << c.cold_err_mean_pct
-            << ", \"stolen_tasks\": " << c.stolen_tasks
-            << ", \"threads\": " << c.threads << "}"
-            << (i + 1 < cells.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-}
 
 } // namespace
 
@@ -97,24 +60,22 @@ main(int argc, char** argv)
     const char* usage =
         "usage: bench_native_exec [--smoke] [--threads N] [--out FILE] "
         "[--check]\n"
-        "  --out FILE    JSON output path (default BENCH_native.json)\n"
+        "  --out FILE    JSON output path (default BENCH_native.json, "
+        "BENCH_native.smoke.json under --smoke)\n"
         "  --check       exit 1 unless every run verifies against the "
         "reference executor\n";
-    std::string out_path = "BENCH_native.json";
+    std::string out_path = bench::defaultOut("native");
     bool check = false;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
-        if (a == "--out" && i + 1 < argc) {
-            out_path = argv[++i];
-        } else if (a == "--check") {
+        if (a == "--out")
+            out_path = bench::flagValue(argc, argv, i, usage);
+        else if (a == "--check")
             check = true;
-        } else if (a == "--help" || a == "-h") {
+        else if (a == "--help" || a == "-h")
             bench::exitUsage(usage);
-        } else if (a == "--out") {
-            bench::exitUsage(usage, "missing value for --out");
-        } else {
+        else
             bench::exitUsage(usage, "unknown option '" + a + "'");
-        }
     }
 
     bench::banner("bench_native_exec", "native execution",
@@ -128,10 +89,10 @@ main(int argc, char** argv)
     opts.kernel.k = 32;
     opts.build_formats = false;
 
-    std::vector<Cell> cells;
-    std::vector<CheckFailure> failures;
-    Table table({"Matrix", "Strategy", "Hot nnz %", "GFLOP/s", "Wall ms",
-                 "Hot err%", "Cold err%"});
+    std::vector<bench::Row> results;
+    std::vector<std::string> failures;
+    Table table({"Matrix", "Strategy", "Hot nnz %", "GFLOP/s",
+                 "GF/s q1-q3", "Wall ms", "Hot err%", "Cold err%"});
 
     for (const std::string& name : bench::tableVNames()) {
         const CooMatrix& m = bench::suiteMatrix(name);
@@ -147,92 +108,113 @@ main(int argc, char** argv)
         all_hot.heuristic = "AllHot";
         all_cold.is_hot.assign(grid.numTiles(), 0);
         all_cold.heuristic = "AllCold";
-        const std::pair<const char*, Partition> strategies[] = {
-            {"HotTiles", ht.partition()},
-            {"IUnaware", ht.iunaware()},
-            {"AllHot", std::move(all_hot)},
-            {"AllCold", std::move(all_cold)},
-        };
+        std::vector<Cell> strategies;
+        strategies.push_back({"HotTiles", ht.partition(), {}, {}});
+        strategies.push_back({"IUnaware", ht.iunaware(), {}, {}});
+        strategies.push_back({"AllHot", std::move(all_hot), {}, {}});
+        strategies.push_back({"AllCold", std::move(all_cold), {}, {}});
 
-        for (const auto& [strategy, p] : strategies) {
-            exec::NativeExecOptions eo;
+        // The four strategies of one matrix are compared with each
+        // other, so the runner interleaves them.
+        bench::Runner runner;
+        for (Cell& s : strategies) {
             AssignmentTotals totals =
-                assignmentTotals(ht.context(), p.is_hot);
+                assignmentTotals(ht.context(), s.plan.is_hot);
             if (totals.th_total + totals.tc_total > 0)
-                eo.hot_share_hint =
+                s.eo.hot_share_hint =
                     totals.th_total / (totals.th_total + totals.tc_total);
+            if (check)
+                s.ref = exec::referenceExecute(grid, s.plan, kernel, din);
+            runner.add([&, &s = s] {
+                exec::ExecReport rep;
+                const DenseMatrix out = exec::makeNativeCpuBackend(s.eo)->run(
+                    grid, s.plan, kernel, din, &rep);
+                const PredictionErrorTelemetry tel =
+                    exec::computeNativePredictionError(grid, ht.context(),
+                                                       s.plan.is_hot, rep);
+                recordPredictionError(tel, std::string("native.") + s.name);
+                const PredictionErrorSummary hs =
+                    summarizePredictionError(tel.hot_tiles);
+                const PredictionErrorSummary cs =
+                    summarizePredictionError(tel.cold_panels);
+                s.hot_units = hs.count > 0;
+                s.cold_units = cs.count > 0;
+                s.threads = rep.threads;
+                // Self-check gates on every run: correctness of the whole
+                // execution path, not perf (absolute GFLOP/s is a host
+                // property).
+                const std::string cell = name + "/" + s.name;
+                if (check &&
+                    (out.data().size() != s.ref.data().size() ||
+                     std::memcmp(out.data().data(), s.ref.data().data(),
+                                 out.data().size() * sizeof(Value)) != 0))
+                    failures.push_back(
+                        "CHECK FAILED " + cell +
+                        ": Golden run is not bit-identical to the "
+                        "reference executor (max |diff| " +
+                        std::to_string(out.maxAbsDiff(s.ref)) + ")");
+                if (check && !(rep.gflops > 0))
+                    failures.push_back("CHECK FAILED " + cell +
+                                       ": nonpositive GFLOP/s reported");
+                return bench::Sample{
+                    {"gflops", rep.gflops},
+                    {"wall_ms", rep.wall_s * 1e3},
+                    {"prepare_ms", rep.prepare_s * 1e3},
+                    {"hot_err_mean_pct", hs.mean_pct},
+                    {"cold_err_mean_pct", cs.mean_pct},
+                    {"stolen_tasks",
+                     double(rep.hot.stolen_tasks + rep.cold.stolen_tasks)}};
+            });
+        }
+        runner.run();
 
-            exec::ExecReport rep;
-            DenseMatrix out = exec::makeNativeCpuBackend(eo)->run(
-                grid, p, kernel, din, &rep);
-
-            PredictionErrorTelemetry tel =
-                exec::computeNativePredictionError(grid, ht.context(),
-                                                   p.is_hot, rep);
-            const std::string label = std::string("native.") + strategy;
-            recordPredictionError(tel, label);
-            const PredictionErrorSummary hs =
-                summarizePredictionError(tel.hot_tiles);
-            const PredictionErrorSummary cs =
-                summarizePredictionError(tel.cold_panels);
-
-            Cell c;
-            c.matrix = name;
-            c.strategy = strategy;
-            c.gflops = rep.gflops;
-            c.wall_ms = rep.wall_s * 1e3;
-            c.prepare_ms = rep.prepare_s * 1e3;
-            c.hot_nnz_fraction = p.hotNnzFraction(grid);
-            c.hot_err_mean_pct = hs.mean_pct;
-            c.cold_err_mean_pct = cs.mean_pct;
-            c.stolen_tasks = rep.hot.stolen_tasks + rep.cold.stolen_tasks;
-            c.threads = rep.threads;
-            cells.push_back(c);
-            table.addRow({name, strategy,
-                          Table::num(100 * c.hot_nnz_fraction, 1),
-                          Table::num(c.gflops, 2), Table::num(c.wall_ms, 3),
-                          hs.count ? Table::num(hs.mean_pct, 1) : "-",
-                          cs.count ? Table::num(cs.mean_pct, 1) : "-"});
-
+        for (size_t i = 0; i < strategies.size(); ++i) {
+            const Cell& s = strategies[i];
+            const double hot_frac = s.plan.hotNnzFraction(grid);
+            const bench::Spread gf = runner.spread(i, "gflops");
+            results.push_back(bench::Row()
+                                  .put("matrix", name)
+                                  .put("strategy", s.name)
+                                  .put(runner, i)
+                                  .put("hot_nnz_fraction", hot_frac)
+                                  .put("threads", s.threads));
+            table.addRow(
+                {name, s.name, Table::num(100 * hot_frac, 1),
+                 Table::num(gf.median, 2),
+                 Table::num(gf.q1, 2) + "-" + Table::num(gf.q3, 2),
+                 Table::num(runner.spread(i, "wall_ms").median, 3),
+                 s.hot_units
+                     ? Table::num(runner.spread(i, "hot_err_mean_pct").median, 1)
+                     : "-",
+                 s.cold_units
+                     ? Table::num(runner.spread(i, "cold_err_mean_pct").median,
+                                  1)
+                     : "-"});
             if (!check)
                 continue;
-            // Self-check gates: correctness of the whole execution path,
-            // not perf (absolute GFLOP/s is host property).
-            const DenseMatrix ref =
-                exec::referenceExecute(grid, p, kernel, din);
-            if (out.data().size() != ref.data().size() ||
-                std::memcmp(out.data().data(), ref.data().data(),
-                            out.data().size() * sizeof(Value)) != 0)
-                failures.push_back(
-                    {"CHECK FAILED " + c.matrix + "/" + c.strategy +
-                     ": Golden run is not bit-identical to the reference "
-                     "executor (max |diff| " +
-                     std::to_string(out.maxAbsDiff(ref)) + ")"});
-            exec::NativeExecOptions fast = eo;
+            exec::NativeExecOptions fast = s.eo;
             fast.policy = kernels::Policy::Fast;
             fast.collect_unit_times = false;
             const DenseMatrix fout = exec::makeNativeCpuBackend(fast)->run(
-                grid, p, kernel, din);
-            if (!fout.approxEqual(ref))
+                grid, s.plan, kernel, din);
+            if (!fout.approxEqual(s.ref))
                 failures.push_back(
-                    {"CHECK FAILED " + c.matrix + "/" + c.strategy +
-                     ": Fast run diverges from the reference executor "
-                     "(max |diff| " + std::to_string(fout.maxAbsDiff(ref)) +
-                     ")"});
-            if (!(rep.gflops > 0))
-                failures.push_back({"CHECK FAILED " + c.matrix + "/" +
-                                    c.strategy +
-                                    ": nonpositive GFLOP/s reported"});
+                    "CHECK FAILED " + name + "/" + s.name +
+                    ": Fast run diverges from the reference executor "
+                    "(max |diff| " + std::to_string(fout.maxAbsDiff(s.ref)) +
+                    ")");
         }
     }
 
     table.print(std::cout);
-    writeJson(out_path, cells, bench::smokeMode());
-    std::printf("wrote %zu cells to %s\n", cells.size(), out_path.c_str());
+    std::printf("(medians of %u interleaved rounds per matrix)\n",
+                bench::rounds());
+    bench::writeReport(out_path, "native", {}, results);
+    std::printf("wrote %zu cells to %s\n", results.size(), out_path.c_str());
 
     if (check) {
-        for (const CheckFailure& f : failures)
-            std::printf("%s\n", f.what.c_str());
+        for (const std::string& f : failures)
+            std::printf("%s\n", f.c_str());
         if (failures.empty())
             std::printf("native exec check OK: every strategy verified "
                         "against the reference executor\n");

@@ -17,8 +17,12 @@
  * samePreprocessedState-identical to the in-memory constructor and
  * produce byte-identical reference SpMM output.
  *
+ * The bench runner interleaves the in-memory phase with the streamed
+ * runs; the RSS and throughput ratios are medians of per-round ratios.
+ *
  * Flags (besides the shared --smoke / --threads):
- *   --out FILE   JSON output path (default BENCH_outofcore.json)
+ *   --out FILE   JSON output path (default BENCH_outofcore.json, or
+ *                BENCH_outofcore.smoke.json under --smoke)
  *   --check      self-check gates, exit 1 on violation: all plan
  *                fingerprints identical and the in-process mmap build
  *                bit-identical; additionally, unless --smoke (ASan
@@ -40,14 +44,12 @@
 #include <functional>
 #include <iostream>
 #include <limits>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/error.hpp"
-#include "common/metrics.hpp"
 #include "common/random.hpp"
 #include "common/rss.hpp"
 #include "common/table.hpp"
@@ -118,7 +120,8 @@ struct Fingerprint
     }
 };
 
-uint64_t
+/** The plan fingerprint in hex. */
+std::string
 planFingerprint(size_t num_tiles, const std::function<const Tile&(size_t)>& at,
                 const std::vector<TileEstimate>& est, const Partition& p)
 {
@@ -129,7 +132,9 @@ planFingerprint(size_t num_tiles, const std::function<const Tile&(size_t)>& at,
     for (const TileEstimate& e : est)
         f.estimate(e);
     f.partition(p);
-    return f.h;
+    std::ostringstream hex;
+    hex << std::hex << f.h;
+    return hex.str();
 }
 
 Architecture
@@ -142,33 +147,17 @@ benchArch(Index tile)
 }
 
 /* ---------------------------------------------------------------- *
- * Child phases.  Each writes key=value lines to --result and exits
- * 0; the parent reads the file and the wait4 rusage.
+ * Child phases.  Each writes its result to --result as the one row of
+ * a results file and exits 0; the parent reads the file with the
+ * bench reader, and the wait4 rusage.
  * ---------------------------------------------------------------- */
 
 void
-writeResult(const std::string& path,
-            const std::map<std::string, std::string>& kv)
+writeResult(const std::string& path, const Row& row)
 {
     std::ofstream out(path);
     HT_FATAL_IF(!out, "cannot open result file '", path, "'");
-    for (const auto& [k, v] : kv)
-        out << k << "=" << v << "\n";
-}
-
-std::map<std::string, std::string>
-readResult(const std::string& path)
-{
-    std::ifstream in(path);
-    HT_FATAL_IF(!in, "phase child wrote no result file '", path, "'");
-    std::map<std::string, std::string> kv;
-    std::string line;
-    while (std::getline(in, line)) {
-        size_t eq = line.find('=');
-        if (eq != std::string::npos)
-            kv[line.substr(0, eq)] = line.substr(eq + 1);
-    }
-    return kv;
+    out << "{\"results\": [{" << row.json() << "}]}\n";
 }
 
 int
@@ -176,7 +165,7 @@ phaseGen(const Config& c, const std::string& htb, const std::string& result)
 {
     uint64_t nnz = genRmatHtb(htb, c.rows, c.nnz, 0.57, 0.19, 0.19, 0.05,
                               c.seed, c.tile);
-    writeResult(result, {{"nnz", std::to_string(nnz)}});
+    writeResult(result, Row().put("nnz", nnz));
     return 0;
 }
 
@@ -192,13 +181,11 @@ phaseInmem(const Config& c, const std::string& htb, const std::string& result)
     double secs = monotonicSeconds() - t0;
 
     const TileGrid& g = ht.grid();
-    uint64_t fp = planFingerprint(
+    const std::string fp = planFingerprint(
         g.numTiles(), [&](size_t i) -> const Tile& { return g.tile(i); },
         ht.context().estimates, ht.partition());
-    writeResult(result, {{"fingerprint", std::to_string(fp)},
-                         {"seconds", std::to_string(secs)},
-                         {"nnz", std::to_string(m.nnz())},
-                         {"tiles", std::to_string(g.numTiles())}});
+    writeResult(result, Row().put("fingerprint", fp).put("seconds", secs)
+                            .put("nnz", m.nnz()).put("tiles", g.numTiles()));
     return 0;
 }
 
@@ -212,14 +199,13 @@ phaseStream(const Config& c, const std::string& htb, const std::string& result)
     StreamedPlan plan = streamedPlan(arch, src, {});
     double secs = monotonicSeconds() - t0;
 
-    uint64_t fp = planFingerprint(
+    const std::string fp = planFingerprint(
         plan.tiles.size(),
         [&](size_t i) -> const Tile& { return plan.tiles[i]; },
         plan.estimates, plan.partition);
-    writeResult(result, {{"fingerprint", std::to_string(fp)},
-                         {"seconds", std::to_string(secs)},
-                         {"nnz", std::to_string(plan.nnz)},
-                         {"tiles", std::to_string(plan.tiles.size())}});
+    writeResult(result, Row().put("fingerprint", fp).put("seconds", secs)
+                            .put("nnz", plan.nnz)
+                            .put("tiles", plan.tiles.size()));
     return 0;
 }
 
@@ -229,11 +215,9 @@ phaseStream(const Config& c, const std::string& htb, const std::string& result)
 
 struct PhaseRun
 {
-    std::string phase;
-    unsigned threads = 0;
     double seconds = 0;
     uint64_t peak_rss = 0;  // bytes
-    uint64_t fingerprint = 0;
+    std::string fingerprint;  //!< empty for the gen phase
     size_t nnz = 0;
     size_t tiles = 0;
 };
@@ -278,19 +262,17 @@ runPhase(const std::string& phase, unsigned threads, const Config& c,
     HT_FATAL_IF(!WIFEXITED(status) || WEXITSTATUS(status) != 0, "phase '",
                 phase, "' child failed (status ", status, ")");
 
-    auto kv = readResult(result_path);
+    const Object kv = readResults(result_path).at(0);
+    auto number = [&](const char* key) {
+        return kv.count(key) ? field<double>(kv, key) : 0.0;
+    };
     PhaseRun r;
-    r.phase = phase;
-    r.threads = threads;
     r.peak_rss = uint64_t(ru.ru_maxrss) * 1024;  // Linux reports KiB
-    if (kv.count("seconds"))
-        r.seconds = std::stod(kv["seconds"]);
+    r.seconds = number("seconds");
+    r.nnz = size_t(number("nnz"));
+    r.tiles = size_t(number("tiles"));
     if (kv.count("fingerprint"))
-        r.fingerprint = std::stoull(kv["fingerprint"]);
-    if (kv.count("nnz"))
-        r.nnz = std::stoull(kv["nnz"]);
-    if (kv.count("tiles"))
-        r.tiles = std::stoull(kv["tiles"]);
+        r.fingerprint = field<std::string>(kv, "fingerprint");
     return r;
 }
 
@@ -343,8 +325,8 @@ inProcessIdentity(std::string& why, const std::string& tmp_htb)
             [&](size_t i) -> const Tile& { return p.tiles[i]; }, p.estimates,
             p.partition);
     };
-    uint64_t fa = fp(pa), fb = fp(pb);
-    uint64_t fg = planFingerprint(
+    const std::string fa = fp(pa), fb = fp(pb);
+    const std::string fg = planFingerprint(
         inmem.grid().numTiles(),
         [&](size_t i) -> const Tile& { return inmem.grid().tile(i); },
         inmem.context().estimates, inmem.partition());
@@ -353,42 +335,6 @@ inProcessIdentity(std::string& why, const std::string& tmp_htb)
         return false;
     }
     return true;
-}
-
-void
-writeJson(const std::string& path, const Config& c,
-          const std::vector<PhaseRun>& runs, double rss_ratio,
-          double throughput_ratio, bool identical, bool inprocess_ok,
-          bool smoke)
-{
-    std::ofstream out(path);
-    HT_FATAL_IF(!out, "cannot open '", path, "' for writing");
-    out << "{\n"
-        << "  \"schema\": \"hottiles.bench_outofcore.v1\",\n"
-        << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-        << "  \"rows\": " << c.rows << ",\n"
-        << "  \"tile\": " << c.tile << ",\n"
-        << "  \"rss_ratio\": " << rss_ratio << ",\n"
-        << "  \"throughput_ratio\": " << throughput_ratio << ",\n"
-        << "  \"plans_identical\": " << (identical ? "true" : "false")
-        << ",\n"
-        << "  \"inprocess_identical\": " << (inprocess_ok ? "true" : "false")
-        << ",\n"
-        << "  \"metrics\": ";
-    MetricsRegistry::global().writeJson(out);
-    out << ",\n  \"phases\": [\n";
-    for (size_t i = 0; i < runs.size(); ++i) {
-        const PhaseRun& r = runs[i];
-        out << "    {\"phase\": \"" << r.phase
-            << "\", \"threads\": " << r.threads
-            << ", \"seconds\": " << r.seconds
-            << ", \"peak_rss_bytes\": " << r.peak_rss
-            << ", \"fingerprint\": \"" << std::hex << r.fingerprint
-            << std::dec << "\", \"nnz\": " << r.nnz
-            << ", \"tiles\": " << r.tiles << "}"
-            << (i + 1 < runs.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
 }
 
 std::string
@@ -406,12 +352,13 @@ main(int argc, char** argv)
     const char* usage =
         "usage: bench_outofcore [--smoke] [--threads N] [--out FILE] "
         "[--check]\n"
-        "  --out FILE    JSON output path (default BENCH_outofcore.json)\n"
+        "  --out FILE    JSON output path (default BENCH_outofcore.json, "
+        "BENCH_outofcore.smoke.json under --smoke)\n"
         "  --check       exit 1 when a plan fingerprint or RSS gate "
         "fails\n"
         "(--phase, --htb, --result, --rows, --nnz, --tile and --seed "
         "drive the per-phase child processes)\n";
-    std::string out_path = "BENCH_outofcore.json";
+    std::string out_path = defaultOut("outofcore");
     std::string phase, htb_path, result_path;
     Config c;
     bool check = false;
@@ -482,50 +429,80 @@ main(int argc, char** argv)
     std::string htb = dir + "/m.htb";
     std::string res = dir + "/result.txt";
 
-    std::vector<PhaseRun> runs;
     std::cout << "generating " << (c.rows >> 10) << "Ki-row RMAT (~"
               << (c.nnz >> 20) << "M entries) as " << htb << " ...\n";
-    runs.push_back(runPhase("gen", 7, c, htb, res));
+    const PhaseRun gen = runPhase("gen", 7, c, htb, res);
 
-    runs.push_back(runPhase("inmem", 7, c, htb, res));
-    for (unsigned t : {1u, 2u, 7u})
-        runs.push_back(runPhase("stream", t, c, htb, res));
-
-    const PhaseRun& inmem = runs[1];
-    const PhaseRun& stream7 = runs.back();
-    double rss_ratio = stream7.peak_rss > 0
-                           ? double(inmem.peak_rss) / double(stream7.peak_rss)
-                           : 0;
-    double throughput_ratio =
-        stream7.seconds > 0 ? inmem.seconds / stream7.seconds : 0;
+    // The in-memory phase and the streamed runs are compared, so the
+    // runner interleaves them.  Every run of every phase must produce
+    // the same plan fingerprint.
+    const std::pair<const char*, unsigned> phases[] = {
+        {"inmem", 7}, {"stream", 1}, {"stream", 2}, {"stream", 7}};
+    std::vector<PhaseRun> last(std::size(phases));
     bool identical = true;
-    for (const PhaseRun& r : runs)
-        if (r.phase != "gen" && r.fingerprint != inmem.fingerprint)
-            identical = false;
+    Runner runner;
+    for (size_t i = 0; i < last.size(); ++i)
+        runner.add([&, i] {
+            last[i] = runPhase(phases[i].first, phases[i].second, c, htb, res);
+            identical = identical && last[i].fingerprint == last[0].fingerprint;
+            return Sample{{"seconds", last[i].seconds},
+                          {"peak_rss_bytes", double(last[i].peak_rss)}};
+        });
+    runner.run();
+    // inmem (cell 0) over streamed at 7 threads (cell 3), per round.
+    const Spread rss_ratio = ratioSpread(runner.samples(0, "peak_rss_bytes"),
+                                         runner.samples(3, "peak_rss_bytes"));
+    const Spread throughput_ratio = ratioSpread(
+        runner.samples(0, "seconds"), runner.samples(3, "seconds"));
 
     std::string why;
     bool inprocess_ok = inProcessIdentity(why, dir + "/small.htb");
 
     Table t({"Phase", "Threads", "Seconds", "Peak RSS MiB", "Nnz", "Tiles",
              "Fingerprint"});
-    for (const PhaseRun& r : runs) {
-        std::ostringstream fp;
-        fp << std::hex << r.fingerprint;
-        t.addRow({r.phase, std::to_string(r.threads), Table::num(r.seconds, 3),
-                  mib(r.peak_rss), std::to_string(r.nnz),
-                  std::to_string(r.tiles),
-                  r.phase == "gen" ? std::string("-") : fp.str()});
+    std::vector<Row> results;
+    t.addRow({"gen", "7", "-", mib(gen.peak_rss), std::to_string(gen.nnz),
+              "-", "-"});
+    results.push_back(Row()
+                          .put("phase", "gen")
+                          .put("threads", 7)
+                          .put("peak_rss_bytes", gen.peak_rss)
+                          .put("nnz", gen.nnz));
+    for (size_t i = 0; i < last.size(); ++i) {
+        const auto& [phase, threads] = phases[i];
+        const PhaseRun& r = last[i];
+        t.addRow({phase, std::to_string(threads),
+                  Table::num(runner.spread(i, "seconds").median, 3),
+                  mib(uint64_t(runner.spread(i, "peak_rss_bytes").median)),
+                  std::to_string(r.nnz), std::to_string(r.tiles),
+                  r.fingerprint});
+        results.push_back(Row()
+                              .put("phase", phase)
+                              .put("threads", threads)
+                              .put(runner, i)
+                              .put("fingerprint", r.fingerprint)
+                              .put("nnz", r.nnz)
+                              .put("tiles", r.tiles));
     }
     t.print(std::cout);
-    std::cout << "\npeak RSS in-memory/streamed: " << Table::num(rss_ratio, 2)
+    std::cout << "\n(medians of " << rounds()
+              << " interleaved rounds)\npeak RSS in-memory/streamed: "
+              << Table::num(rss_ratio.median, 2)
               << "x   streamed throughput vs in-memory: "
-              << Table::num(throughput_ratio, 2)
+              << Table::num(throughput_ratio.median, 2)
               << "x   plans identical: " << (identical ? "yes" : "NO")
               << "   in-process mmap build identical: "
               << (inprocess_ok ? "yes" : "NO") << "\n";
 
-    writeJson(out_path, c, runs, rss_ratio, throughput_ratio, identical,
-              inprocess_ok, smoke);
+    writeReport(out_path, "outofcore",
+                Row()
+                    .put("rows", c.rows)
+                    .put("tile", c.tile)
+                    .put("rss_ratio", rss_ratio)
+                    .put("throughput_ratio", throughput_ratio)
+                    .put("plans_identical", identical)
+                    .put("inprocess_identical", inprocess_ok),
+                results);
     std::cout << "wrote " << out_path << "\n";
 
     std::remove(htb.c_str());
@@ -544,14 +521,17 @@ main(int argc, char** argv)
         // scale: ASan shadow memory and --smoke's tiny matrix (where
         // fixed process overhead dominates) both distort the ratios.
         if (!smoke) {
-            if (rss_ratio < 4.0)
-                failures.push_back("peak RSS ratio " +
-                                   Table::num(rss_ratio, 2) + "x < 4x (" +
-                                   mib(inmem.peak_rss) + " MiB in-memory vs " +
-                                   mib(stream7.peak_rss) + " MiB streamed)");
-            if (throughput_ratio < 0.8)
+            if (rss_ratio.median < 4.0)
+                failures.push_back(
+                    "peak RSS ratio " + Table::num(rss_ratio.median, 2) +
+                    "x < 4x (" +
+                    mib(uint64_t(runner.spread(0, "peak_rss_bytes").median)) +
+                    " MiB in-memory vs " +
+                    mib(uint64_t(runner.spread(3, "peak_rss_bytes").median)) +
+                    " MiB streamed)");
+            if (throughput_ratio.median < 0.8)
                 failures.push_back("streamed preprocessing throughput " +
-                                   Table::num(throughput_ratio, 2) +
+                                   Table::num(throughput_ratio.median, 2) +
                                    "x < 0.8x of in-memory");
         }
         if (!failures.empty()) {

@@ -50,8 +50,10 @@ searchTileSize(const Architecture& arch, const CooMatrix& a,
         if (cand.predicted_cycles < result.best.predicted_cycles)
             result.best = cand;
     }
-    HT_ASSERT(!result.candidates.empty(),
-              "no tile-size candidate fits the scratchpad (cap ", cap, ")");
+    HT_FATAL_IF(result.candidates.empty(), "no tile-size candidate fits ",
+                "the hot scratchpad at K = ", kernel.k, " (",
+                arch.hot.scratchpad_bytes, " bytes; largest tile width ",
+                cap, ")");
     return result;
 }
 

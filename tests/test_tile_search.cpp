@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
 #include "core/calibrate.hpp"
 #include "core/tile_search.hpp"
 #include "model/memory_model.hpp"
@@ -48,10 +49,19 @@ TEST(TileSearch, BestIsMinimumPrediction)
 
 TEST(TileSearch, NoLegalCandidateDies)
 {
+    // A K from the command line can leave no legal candidate: a typed
+    // error that names K and the scratchpad, not an abort.
     Architecture arch = calibrated(makeSpadeSextans(4));
     CooMatrix m = genUniform(256, 256, 1000, 403);
-    EXPECT_DEATH(searchTileSize(arch, m, KernelConfig{}, {1024, 2048}),
-                 "candidate");
+    try {
+        searchTileSize(arch, m, KernelConfig{}, {1024, 2048});
+        FAIL() << "should have thrown";
+    } catch (const FatalError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("candidate"), std::string::npos);
+        EXPECT_NE(what.find("K = 32"), std::string::npos);
+        EXPECT_NE(what.find("bytes"), std::string::npos);
+    }
 }
 
 TEST(CacheAwareModel, OffByDefaultMatchesPaperFormula)
