@@ -29,8 +29,8 @@
 namespace hottiles::bench {
 
 /**
- * Parse the shared bench flags and strip them from argv (so wrapped
- * argument parsers like google-benchmark never see them):
+ * Parse the shared bench flags and strip them from argv (so a bench's
+ * own flag parser never sees them):
  *   --smoke       tiny-synthetic-matrix mode for CI: every suite name
  *                 resolves to one small deterministic matrix so each
  *                 binary exercises its full code path in seconds.

@@ -42,8 +42,10 @@ TimerMetric::reset()
     summary_ = Summary{};
 }
 
-HistogramMetric::HistogramMetric(double lo, double hi, size_t bins)
-    : lo_(lo), hi_(hi), bins_(bins), hist_(lo, hi, bins)
+HistogramMetric::HistogramMetric(double lo, double hi, size_t bins,
+                                 BinScale scale)
+    : lo_(lo), hi_(hi), bins_(bins), scale_(scale),
+      hist_(lo, hi, bins, scale)
 {
 }
 
@@ -73,7 +75,7 @@ void
 HistogramMetric::reset()
 {
     std::lock_guard<std::mutex> lk(mu_);
-    hist_ = Histogram(lo_, hi_, bins_);
+    hist_ = Histogram(lo_, hi_, bins_, scale_);
     summary_ = Summary{};
 }
 
@@ -120,14 +122,15 @@ MetricsRegistry::timer(std::string_view name)
 
 HistogramMetric&
 MetricsRegistry::histogram(std::string_view name, double lo, double hi,
-                           size_t bins)
+                           size_t bins, BinScale scale)
 {
     std::lock_guard<std::mutex> lk(mu_);
     auto it = histograms_.find(name);
     if (it == histograms_.end()) {
         it = histograms_
                  .emplace(std::string(name),
-                          std::make_unique<HistogramMetric>(lo, hi, bins))
+                          std::make_unique<HistogramMetric>(lo, hi, bins,
+                                                            scale))
                  .first;
     }
     return *it->second;
@@ -203,7 +206,9 @@ MetricsRegistry::writeJson(std::ostream& os) const
         writeDouble(os, hist.binLo(0));
         os << ",\"hi\":";
         writeDouble(os, hist.binLo(hist.bins()));
-        os << ",\"count\":" << s.count() << ",\"mean\":";
+        os << ",\"scale\":\""
+           << (hist.scale() == BinScale::Log ? "log" : "linear")
+           << "\",\"count\":" << s.count() << ",\"mean\":";
         writeDouble(os, s.mean());
         os << ",\"min\":";
         writeDouble(os, s.min());

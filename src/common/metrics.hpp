@@ -75,7 +75,8 @@ class TimerMetric
 class HistogramMetric
 {
   public:
-    HistogramMetric(double lo, double hi, size_t bins);
+    HistogramMetric(double lo, double hi, size_t bins,
+                    BinScale scale = BinScale::Linear);
 
     void observe(double x);
     Histogram histogram() const;
@@ -85,6 +86,7 @@ class HistogramMetric
   private:
     const double lo_, hi_;
     const size_t bins_;
+    const BinScale scale_;
     mutable std::mutex mu_;
     Histogram hist_;
     Summary summary_;
@@ -106,13 +108,15 @@ class MetricsRegistry
     Gauge& gauge(std::string_view name);
     TimerMetric& timer(std::string_view name);
     HistogramMetric& histogram(std::string_view name, double lo, double hi,
-                               size_t bins);
+                               size_t bins,
+                               BinScale scale = BinScale::Linear);
 
     /**
      * Write one JSON object with `counters` / `gauges` / `timers` /
      * `histograms` sub-objects keyed by metric name.  Timers report
      * count/total_s/mean_s/min_s/max_s/stddev_s; histograms report
-     * lo/hi/count/mean/min/max/p50/p90/p99 plus the raw bin counts.
+     * lo/hi/scale/count/mean/min/max/p50/p90/p99 plus the raw bin
+     * counts.
      */
     void writeJson(std::ostream& os) const;
 

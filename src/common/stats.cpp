@@ -81,17 +81,23 @@ GeoMean::value() const
     return n_ ? std::exp(log_sum_ / static_cast<double>(n_)) : 1.0;
 }
 
-Histogram::Histogram(double lo, double hi, size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0)
+Histogram::Histogram(double lo, double hi, size_t bins, BinScale scale)
+    : lo_(lo), hi_(hi),
+      width_((scale == BinScale::Log ? std::log(hi / lo) : hi - lo) /
+             static_cast<double>(bins)),
+      scale_(scale), counts_(bins, 0)
 {
     HT_ASSERT(hi > lo && bins > 0, "bad histogram bounds");
+    HT_ASSERT(scale == BinScale::Linear || lo > 0,
+              "log-spaced histogram needs lo > 0");
 }
 
 void
 Histogram::add(double x)
 {
-    double rel = (x - lo_) / width_;
+    double rel = scale_ == BinScale::Linear ? (x - lo_) / width_
+                 : x > lo_                  ? std::log(x / lo_) / width_
+                                            : 0.0;
     auto idx = static_cast<int64_t>(std::floor(rel));
     idx = std::clamp<int64_t>(idx, 0, static_cast<int64_t>(counts_.size()) - 1);
     ++counts_[static_cast<size_t>(idx)];
@@ -101,7 +107,9 @@ Histogram::add(double x)
 double
 Histogram::binLo(size_t i) const
 {
-    return lo_ + width_ * static_cast<double>(i);
+    return scale_ == BinScale::Linear
+               ? lo_ + width_ * static_cast<double>(i)
+               : lo_ * std::exp(width_ * static_cast<double>(i));
 }
 
 double
@@ -123,7 +131,8 @@ Histogram::quantile(double q) const
     for (size_t i = 0; i < counts_.size(); ++i) {
         acc += counts_[i];
         if (static_cast<double>(acc) >= target)
-            return binLo(i) + width_;
+            return scale_ == BinScale::Linear ? binLo(i) + width_
+                                              : binLo(i + 1);
     }
     return hi_;
 }

@@ -4,7 +4,7 @@
  * @file
  * Lightweight statistics accumulators used by the simulator and the
  * benchmark harness: running summary (mean/min/max/stddev), geometric
- * mean, and a fixed-bin histogram.
+ * mean, and a fixed-bin histogram (linear or log-spaced bins).
  */
 
 #include <cstdint>
@@ -60,16 +60,25 @@ class GeoMean
     double log_sum_ = 0.0;
 };
 
-/** Fixed-width histogram over [lo, hi) with out-of-range clamping. */
+/** Bin spacing of a Histogram. */
+enum class BinScale
+{
+    Linear,  //!< equal widths
+    Log,     //!< equal ratios (lo > 0): constant relative resolution
+};
+
+/** Fixed-bin histogram over [lo, hi) with out-of-range clamping. */
 class Histogram
 {
   public:
-    Histogram(double lo, double hi, size_t bins);
+    Histogram(double lo, double hi, size_t bins,
+              BinScale scale = BinScale::Linear);
 
     void add(double x);
     uint64_t total() const { return total_; }
     size_t bins() const { return counts_.size(); }
     uint64_t binCount(size_t i) const { return counts_.at(i); }
+    BinScale scale() const { return scale_; }
     /** Lower edge of bin @p i. */
     double binLo(size_t i) const;
     /**
@@ -82,7 +91,9 @@ class Histogram
     double quantile(double q) const;
 
   private:
-    double lo_, hi_, width_;
+    double lo_, hi_;
+    double width_;  //!< bin width; under Log, ln of the bin edge ratio
+    BinScale scale_;
     std::vector<uint64_t> counts_;
     uint64_t total_ = 0;
 };

@@ -262,7 +262,7 @@ HotTiles::applyDelta(const DeltaBatch& d)
         }
         HT_ASSERT(fi == fresh.panels.size(), "cold-format splice mismatch");
         for (const PanelWork& pw : nf.panels)
-            nf.total_nnz += pw.rows.size();
+            nf.total_nnz += pw.cols.size();
         cold_format_ = std::move(nf);
     }
 
@@ -338,21 +338,14 @@ HotTiles::patchValues(const ValueUpdateBatch& u)
             [](const PanelWork& w, Index p) { return w.panel < p; });
         HT_ASSERT(pit != panels.end() && pit->panel == panel,
                   "cold tile's panel missing from the cold format");
-        // Panel nonzeros are row-major sorted (buildUntiledWork).
-        const Index r = u.rows[i], c = u.cols[i];
-        size_t lo = 0, hi = pit->rows.size();
-        while (lo < hi) {
-            size_t mid = lo + (hi - lo) / 2;
-            if (pit->rows[mid] < r ||
-                (pit->rows[mid] == r && pit->cols[mid] < c))
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        HT_ASSERT(lo < pit->rows.size() && pit->rows[lo] == r &&
-                      pit->cols[lo] == c,
+        // A panel row's columns ascend (buildUntiledWork).
+        const size_t r = u.rows[i] - panel * grid_->tileHeight();
+        const auto cb = pit->cols.begin() + pit->row_ptr[r];
+        const auto ce = pit->cols.begin() + pit->row_ptr[r + 1];
+        const auto it = std::lower_bound(cb, ce, u.cols[i]);
+        HT_ASSERT(it != ce && *it == u.cols[i],
                   "cold nonzero missing from its PanelWork");
-        pit->vals[lo] = u.vals[i];
+        pit->vals[size_t(it - pit->cols.begin())] = u.vals[i];
     }
     MetricsRegistry::global().counter("preprocess.value_patches")
         .add(u.size());
@@ -407,7 +400,7 @@ samePreprocessedState(const HotTiles& a, const HotTiles& b)
     for (size_t i = 0; i < ca.panels.size(); ++i) {
         const PanelWork& wa = ca.panels[i];
         const PanelWork& wb = cb.panels[i];
-        if (wa.panel != wb.panel || wa.rows != wb.rows ||
+        if (wa.panel != wb.panel || wa.row_ptr != wb.row_ptr ||
             wa.cols != wb.cols ||
             std::memcmp(wa.vals.data(), wb.vals.data(),
                         wa.vals.size() * sizeof(Value)) != 0)

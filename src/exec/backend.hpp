@@ -102,9 +102,9 @@ struct ExecReport
     unsigned threads = 0;        //!< pool parallelism used
     unsigned hot_executors = 0;  //!< slots serving the hot queue
     unsigned cold_executors = 0;
-    /** Set-up before the parallel region: the class work lists, task
-     *  descriptors and panel-buffer allocation.  Cold row pointers are
-     *  built inside the tasks and count toward wall_s. */
+    /** Set-up before the parallel region: the class work lists (the
+     *  cold panels with their CSR row pointers), task descriptors and
+     *  panel-buffer allocation. */
     double prepare_s = 0;
     double wall_s = 0;           //!< output allocation + parallel tasks
     double gflops = 0;           //!< kernel FLOPs / wall_s

@@ -5,9 +5,8 @@
  *
  *  - The unit of scheduling is one row panel per class.  A hot task runs
  *    the panel's hot tiles in tile-column order through the streaming
- *    COO kernels; a cold task builds the panel's local CSR row pointers
- *    and runs its merged cold nonzeros through the row-traversal
- *    kernels.
+ *    COO kernels; a cold task runs the panel's merged cold nonzeros, a
+ *    panel-local CSR (PanelWork), through the row-traversal kernels.
  *  - The pool's T threads become T executor slots split between the two
  *    classes.  Each slot pops its own class queue from the front and,
  *    once that drains, steals from the other queue's tail.
@@ -161,20 +160,6 @@ std::pair<Index, Index> panelRows(const TileGrid& grid, Index panel)
     return {row0, std::min(grid.tileHeight(), grid.matrixRows() - row0)};
 }
 
-/** Local CSR row pointers (height + 1) of a cold panel, whose nonzeros
- *  are row-major sorted. */
-void buildRowPtr(const PanelWork& pw, Index row0, Index height,
-                 size_t* row_ptr)
-{
-    size_t i = 0;
-    for (Index r = 0; r < height; ++r) {
-        row_ptr[r] = i;
-        while (i < pw.rows.size() && pw.rows[i] == row0 + r)
-            ++i;
-    }
-    row_ptr[height] = i;
-}
-
 ExecPlan preparePlan(const TileGrid& grid, const Partition& p)
 {
     ExecPlan plan;
@@ -201,7 +186,7 @@ ExecPlan preparePlan(const TileGrid& grid, const Partition& p)
         ColdTask ct;
         ct.panel = pw.panel;
         ct.work = i;
-        ct.nnz = pw.rows.size();
+        ct.nnz = pw.cols.size();
         auto [tb, te] = grid.panelTiles(pw.panel);
         for (size_t t = tb; t < te; ++t)
             if (!p.is_hot[t])
@@ -321,34 +306,25 @@ struct RunContext
     std::atomic<Acc*>* parked = nullptr;  //!< per join: first partial
 };
 
-/** One executor slot's scratch: its current panel buffer (golden hot
- *  tasks and join cold tasks accumulate there) and cold row pointers. */
-template <class Acc>
-struct SlotScratch
-{
-    Acc* buf = nullptr;
-    std::vector<size_t> row_ptr;
-};
-
 /**
  * Hand a finished join task's partial @p part to the panel's join.  The
- * first finisher parks it; if @p part is the slot's buffer, the slot
- * continues on the join's spare, so no partial is ever copied.  The
+ * first finisher parks it; if @p part is the slot's buffer @p buf, the
+ * slot continues on the join's spare, so no partial is ever copied.  The
  * last finisher writes Value(part + parked) over the panel's @p n
  * output cells @p o.  IEEE addition commutes, so the bits do not depend
  * on which class finished first.  Under Fast the hot partial is @p o
  * itself and the sum updates it in place.
  */
 template <class Acc>
-void finishJoin(const RunContext<Acc>& rc, SlotScratch<Acc>& slot,
-                uint32_t join, Acc* part, Value* o, size_t n)
+void finishJoin(const RunContext<Acc>& rc, Acc*& buf, uint32_t join,
+                Acc* part, Value* o, size_t n)
 {
     Acc* parked = nullptr;
     if (rc.parked[join].compare_exchange_strong(parked, part,
                                                 std::memory_order_acq_rel,
                                                 std::memory_order_acquire)) {
-        if (part == slot.buf)
-            slot.buf = rc.spares + size_t(join) * rc.stride;
+        if (part == buf)
+            buf = rc.spares + size_t(join) * rc.stride;
         return;
     }
     for (size_t i = 0; i < n; ++i)
@@ -356,8 +332,7 @@ void finishJoin(const RunContext<Acc>& rc, SlotScratch<Acc>& slot,
 }
 
 template <class Acc>
-void runHotTask(const RunContext<Acc>& rc, SlotScratch<Acc>& slot,
-                const HotTask& ht)
+void runHotTask(const RunContext<Acc>& rc, Acc*& buf, const HotTask& ht)
 {
     const TileGrid& grid = *rc.grid;
     const auto [row0, height] = panelRows(grid, ht.panel);
@@ -365,7 +340,7 @@ void runHotTask(const RunContext<Acc>& rc, SlotScratch<Acc>& slot,
     Value* o = rc.out + size_t(row0) * rc.k;
     // Golden accumulates the panel in double scratch; Fast accumulates
     // straight into its zeroed output rows.
-    Acc* part = slot.buf;
+    Acc* part = buf;
     if constexpr (RunContext<Acc>::kGolden)
         std::fill_n(part, n, 0.0);
     else
@@ -385,23 +360,22 @@ void runHotTask(const RunContext<Acc>& rc, SlotScratch<Acc>& slot,
         ++unit;
     }
     if (ht.join != kNoJoin)
-        finishJoin(rc, slot, ht.join, part, o, n);
+        finishJoin(rc, buf, ht.join, part, o, n);
     else if constexpr (RunContext<Acc>::kGolden)
         rc.ops->cvt_d2f(part, o, n);
 }
 
 template <class Acc>
-void runColdTask(const RunContext<Acc>& rc, SlotScratch<Acc>& slot,
-                 const ColdTask& ct, size_t task_idx)
+void runColdTask(const RunContext<Acc>& rc, Acc*& buf, const ColdTask& ct,
+                 size_t task_idx)
 {
     const auto [row0, height] = panelRows(*rc.grid, ct.panel);
     const PanelWork& pw = rc.plan->cold_w.panels[ct.work];
-    buildRowPtr(pw, row0, height, slot.row_ptr.data());
-    const CsrView cv{slot.row_ptr.data(), pw.cols.data(), pw.vals.data(),
+    const CsrView cv{pw.row_ptr.data(), pw.cols.data(), pw.vals.data(),
                      height};
     const size_t n = size_t(height) * rc.k;
     Value* o = rc.out + size_t(row0) * rc.k;
-    Acc* part = slot.buf;
+    Acc* part = buf;
     const double t0 = rc.collect ? monotonicSeconds() : 0;
     if (ct.join == kNoJoin) {
         // Every golden chain starts at +0.0, so the storing kernel's
@@ -420,7 +394,7 @@ void runColdTask(const RunContext<Acc>& rc, SlotScratch<Acc>& slot,
         rc.cold_units[task_idx] = {uint32_t(ct.panel),
                                    monotonicSeconds() - t0};
     if (ct.join != kNoJoin)
-        finishJoin(rc, slot, ct.join, part, o, n);
+        finishJoin(rc, buf, ct.join, part, o, n);
 }
 
 class NativeCpuBackend final : public ExecutionBackend
@@ -473,11 +447,9 @@ DenseMatrix NativeCpuBackend::runAs(const TileGrid& grid, const Partition& p,
     const size_t stride = (size_t(panel_h) * k + lane - 1) / lane * lane;
     AlignedBuffer<Acc> buffers((T + size_t(plan.joins)) * stride);
     std::vector<std::atomic<Acc*>> parked(plan.joins);
-    std::vector<SlotScratch<Acc>> scratch(T);
-    for (unsigned s = 0; s < T; ++s) {
-        scratch[s].buf = buffers.data() + s * stride;
-        scratch[s].row_ptr.resize(size_t(panel_h) + 1);
-    }
+    std::vector<Acc*> slot_bufs(T);
+    for (unsigned s = 0; s < T; ++s)
+        slot_bufs[s] = buffers.data() + s * stride;
 
     RunContext<Acc> rc;
     rc.grid = &grid;
@@ -555,9 +527,9 @@ DenseMatrix NativeCpuBackend::runAs(const TileGrid& grid, const Partition& p,
                     break;
                 const double t0 = monotonicSeconds();
                 if (t.cls == 0)
-                    runHotTask(rc, scratch[slot], plan.hot_tasks[t.idx]);
+                    runHotTask(rc, slot_bufs[slot], plan.hot_tasks[t.idx]);
                 else
-                    runColdTask(rc, scratch[slot], plan.cold_tasks[t.idx],
+                    runColdTask(rc, slot_bufs[slot], plan.cold_tasks[t.idx],
                                 t.idx);
                 const double dt = monotonicSeconds() - t0;
                 SlotClassStats& cs = st.cls[t.cls];
@@ -651,9 +623,7 @@ DenseMatrix referenceExecute(const TileGrid& grid, const Partition& p,
     for (const ColdTask& ct : plan.cold_tasks) {
         const PanelWork& pw = plan.cold_w.panels[ct.work];
         const auto [row0, height] = panelRows(grid, ct.panel);
-        std::vector<size_t> row_ptr(size_t(height) + 1);
-        buildRowPtr(pw, row0, height, row_ptr.data());
-        const CsrView cv{row_ptr.data(), pw.cols.data(), pw.vals.data(),
+        const CsrView cv{pw.row_ptr.data(), pw.cols.data(), pw.vals.data(),
                          height};
         ops.spmm_csr_golden_acc(cv, k, din_p,
                                 cold_acc.data() + size_t(row0) * k, 0,

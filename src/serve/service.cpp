@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <future>
@@ -238,6 +239,19 @@ denseChecksum(const DenseMatrix& m)
         h *= 1099511628211ULL;
     }
     return h;
+}
+
+HistogramMetric&
+tenantLatencyHistogram(MetricsRegistry& reg, const std::string& label,
+                       double deadline_ms)
+{
+    constexpr double kLoMs = 0.01;
+    constexpr double kBinsPerDecade = 50;
+    const double hi = std::max(deadline_ms, 10 * kLoMs);
+    const auto bins =
+        size_t(std::ceil(kBinsPerDecade * std::log10(hi / kLoMs)));
+    return reg.histogram("serve.tenant." + label + ".latency_ms", kLoMs, hi,
+                         bins, BinScale::Log);
 }
 
 PlanService::PlanService(const ServiceConfig& cfg)
@@ -565,11 +579,9 @@ PlanService::recordReply(const ServeReply& reply, const std::string& tenant)
     if (reply.status != ServeStatus::Shed) {
         reg.timer("serve.latency").observe(reply.latency_ms / 1e3);
         // Per-tenant latency SLO distribution: the JSON snapshot reports
-        // p50/p90/p99 per bucket (serve.tenant.<id>.latency_ms).  Bin
-        // range is anchored to the service deadline — latencies past it
-        // clamp into the last bin, which is exactly the SLO-miss band.
-        reg.histogram("serve.tenant." + tenantLabel(tenant) + ".latency_ms",
-                      0.0, cfg_.default_deadline_ms, 64)
+        // p50/p90/p99 per bucket.
+        tenantLatencyHistogram(reg, tenantLabel(tenant),
+                               cfg_.default_deadline_ms)
             .observe(reply.latency_ms);
     }
     if (reply.exec_class_failed) {
@@ -662,7 +674,11 @@ PlanService::handle(const ServeRequest& req, FlightSlot& slot)
         }
         // The plan stage gets a slice of the remaining deadline; the
         // held-back remainder funds the degraded fallback after a trip.
-        arm(nowSeconds() + remaining() * cfg_.plan_budget_fraction);
+        // One clock read: at a fraction of 1 the stage deadline is the
+        // request deadline exactly, so a trip always finds it expired.
+        const double now = nowSeconds();
+        arm(deadline_s -
+            (1 - cfg_.plan_budget_fraction) * (deadline_s - now));
 
         auto builder = [&]() -> CachedPlan {
             if (remaining() * 1e3 < cfg_.fresh_floor_ms)

@@ -47,7 +47,9 @@
 
 namespace hottiles {
 struct Architecture;
+class HistogramMetric;
 class HotTiles;
+class MetricsRegistry;
 class ThreadPool;
 class TraceSink;
 }
@@ -201,6 +203,17 @@ struct ServiceStats
 /** FNV-1a checksum over a dense matrix's value bytes (reply checksums;
  *  also how tests compare against referenceExecute output). */
 uint64_t denseChecksum(const DenseMatrix& m);
+
+/**
+ * The reply-latency histogram `serve.tenant.<label>.latency_ms` of one
+ * tenant label in @p reg.  Its bins are log-spaced from 0.01 ms to
+ * @p deadline_ms, 50 per decade, so a quantile (a bin's upper edge)
+ * lies less than 5% above the sample it stands for.  Latencies past the
+ * deadline clamp into the last bin, which is the SLO-miss band.
+ */
+HistogramMetric& tenantLatencyHistogram(MetricsRegistry& reg,
+                                        const std::string& label,
+                                        double deadline_ms);
 
 /**
  * The service itself.  Construction starts the worker pool and the

@@ -14,17 +14,16 @@ sliceUntiledWork(const UntiledWork& work, Index chunk_rows)
     HT_ASSERT(chunk_rows > 0, "chunk_rows must be positive");
     std::vector<PanelSlice> slices;
     for (size_t p = 0; p < work.panels.size(); ++p) {
-        const PanelWork& pw = work.panels[p];
-        const size_t n = pw.rows.size();
-        size_t begin = 0;
-        while (begin < n) {
-            // Cover up to chunk_rows distinct row ids, row-aligned.
-            Index first_row = pw.rows[begin];
-            size_t end = begin;
-            while (end < n && pw.rows[end] < first_row + chunk_rows)
-                ++end;
-            slices.push_back({p, begin, end});
-            begin = end;
+        const std::vector<size_t>& rp = work.panels[p].row_ptr;
+        const Index height = Index(rp.size() - 1);
+        for (Index r = 0; r < height;) {
+            if (rp[r] == rp[r + 1]) {
+                ++r;
+                continue;
+            }
+            const Index end = r + std::min(chunk_rows, height - r);
+            slices.push_back({p, r, end, rp[end] - rp[r]});
+            r = end;
         }
     }
     return slices;
@@ -88,45 +87,48 @@ buildDemandSegments(const UntiledWork& work,
         // Demand segments never straddle slices (flush() below), so the
         // whole segment belongs to this slice's row panel.
         seg.unit = static_cast<uint32_t>(pw.panel);
-        for (size_t i = sl.begin; i < sl.end; ++i) {
-            const Index r = pw.rows[i];
-            const Index c = pw.cols[i];
-            const bool row_start = i == sl.begin || pw.rows[i - 1] != r;
-            const bool row_end = i + 1 == sl.end || pw.rows[i + 1] != r;
+        for (Index r = sl.row_begin; r < sl.row_end; ++r) {
+            const size_t rb = pw.row_ptr[r];
+            const size_t re = pw.row_ptr[r + 1];
+            for (size_t i = rb; i < re; ++i) {
+                const Index c = pw.cols[i];
+                const bool row_start = i == rb;
+                const bool row_end = i + 1 == re;
 
-            addSparseBytes(sparse_bytes_per_nnz +
-                           (row_start ? sparse_bytes_per_row : 0.0));
+                addSparseBytes(sparse_bytes_per_nnz +
+                               (row_start ? sparse_bytes_per_row : 0.0));
 
-            if (row_start)
-                seg.read_lines += row_lines;  // Dout/U row fetch (bypass)
+                if (row_start)
+                    seg.read_lines += row_lines;  // Dout/U row fetch (bypass)
 
-            // Din row through the L1 when present; every line otherwise.
-            if (l1) {
-                for (uint32_t j = 0; j < row_lines; ++j) {
-                    uint64_t line_id = uint64_t(c) * row_lines + j;
-                    if (l1->access(line_id))
-                        ;  // hit: no memory traffic
-                    else
-                        ++seg.read_lines;
+                // Din row through the L1 when present; every line otherwise.
+                if (l1) {
+                    for (uint32_t j = 0; j < row_lines; ++j) {
+                        uint64_t line_id = uint64_t(c) * row_lines + j;
+                        if (l1->access(line_id))
+                            ;  // hit: no memory traffic
+                        else
+                            ++seg.read_lines;
+                    }
+                } else {
+                    seg.read_lines += row_lines;
                 }
-            } else {
-                seg.read_lines += row_lines;
+
+                seg.compute_cycles += static_cast<float>(cycles_per_nnz);
+                ++seg.nnz;
+                ++out.nnz;
+                out.flops += kernel.flopsPerNnz();
+
+                if (sddmm)
+                    addOutputBytes(traits.value_bytes);  // one output scalar
+                else if (row_end)
+                    seg.write_lines += row_lines;  // Dout row write-back
+
+                if (seg.nnz >= params.segment_nnz && row_end)
+                    flush();
+                else if (seg.nnz >= 4 * params.segment_nnz)
+                    flush();  // very long rows still get pipelined
             }
-
-            seg.compute_cycles += static_cast<float>(cycles_per_nnz);
-            ++seg.nnz;
-            ++out.nnz;
-            out.flops += kernel.flopsPerNnz();
-
-            if (sddmm)
-                addOutputBytes(traits.value_bytes);  // one output scalar
-            else if (row_end)
-                seg.write_lines += row_lines;  // Dout row write-back
-
-            if (seg.nnz >= params.segment_nnz && row_end)
-                flush();
-            else if (seg.nnz >= 4 * params.segment_nnz)
-                flush();  // very long rows still get pipelined
         }
         flush();
     }

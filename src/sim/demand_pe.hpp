@@ -38,19 +38,19 @@ struct DemandPeParams
     Index chunk_rows = 64;
 };
 
-/** A row-aligned slice of one untiled panel (a 64-row SPADE chunk). */
+/** A row range of one untiled panel (a 64-row SPADE chunk). */
 struct PanelSlice
 {
-    size_t panel = 0;  //!< index into UntiledWork::panels
-    size_t begin = 0;  //!< first nonzero (row-aligned)
-    size_t end = 0;    //!< one past the last nonzero (row-aligned)
-
-    size_t nnz() const { return end - begin; }
+    size_t panel = 0;     //!< index into UntiledWork::panels
+    Index row_begin = 0;  //!< first panel-local row (never empty)
+    Index row_end = 0;    //!< one past the last panel-local row
+    size_t nnz = 0;       //!< nonzeros in [row_begin, row_end)
 };
 
 /**
- * Split untiled work into row-aligned chunks of at most @p chunk_rows
- * rows each (the unit of PE work distribution).
+ * Split untiled work into chunks of at most @p chunk_rows rows each
+ * (the unit of PE work distribution).  A chunk starts at a non-empty
+ * row; empty rows between chunks belong to none.
  */
 std::vector<PanelSlice> sliceUntiledWork(const UntiledWork& work,
                                          Index chunk_rows);

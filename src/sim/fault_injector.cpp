@@ -10,7 +10,6 @@
 #include "common/error.hpp"
 #include "common/random.hpp"
 #include "common/string_util.hpp"
-#include "kernels/dispatch.hpp"
 #include "sim/demand_pe.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/link.hpp"
@@ -166,19 +165,6 @@ parseFaultSpec(std::string_view spec)
 // ---------------------------------------------------------------------------
 
 namespace {
-
-/** Functionally accumulate one nonzero set into dout (fp32 like the HW),
- *  via the vectorized fast-policy kernel — identical arithmetic to the
- *  plain simulator's accumulate, so fault-run douts stay bit-exact
- *  against fault-free runs. */
-void
-accumulate(DenseMatrix& dout, const DenseMatrix& din, const Index* rows,
-           const Index* cols, const Value* vals, size_t n)
-{
-    const kernels::CooView view{rows, cols, vals, n};
-    kernels::activeOps().spmm_coo_fast(view, din.cols(), din.row(0),
-                                       dout.row(0), 0, n);
-}
 
 /** One migratable unit of work: a grid tile. */
 struct FtUnit
@@ -705,40 +691,12 @@ FaultRun::fillOutput(SimOutput& out)
     // stream is deterministic for a fixed plan at any thread count.
     if (!cfg_.compute_values)
         return;
-    HT_ASSERT(cfg_.din, "compute_values requires din");
-    HT_ASSERT(cfg_.din->rows() == grid_.matrixCols(), "din shape mismatch");
-    if (kernel_.kind == SparseKernel::Sddmm) {
-        HT_ASSERT(cfg_.u, "SDDMM compute_values requires u");
-        HT_ASSERT(cfg_.u->rows() == grid_.matrixRows(), "u shape mismatch");
-        HT_ASSERT(cfg_.u->cols() == cfg_.din->cols(), "U/V K mismatch");
-        out.sddmm_out = CooMatrix(grid_.matrixRows(), grid_.matrixCols());
-        out.sddmm_out.reserve(st.total_nnz);
-        const Index kk = cfg_.u->cols();
-        std::vector<Value> dots;
-        for (const FtUnit& u : units_) {
-            auto rs = grid_.tileRows(u.tile);
-            auto cs = grid_.tileCols(u.tile);
-            auto vs = grid_.tileVals(u.tile);
-            const kernels::CooView view{rs.data(), cs.data(), vs.data(),
-                                        rs.size()};
-            dots.resize(rs.size());
-            kernels::activeOps().sddmm_fast(view, kk, cfg_.u->row(0),
-                                            cfg_.din->row(0), dots.data(),
-                                            0, rs.size());
-            for (size_t i = 0; i < rs.size(); ++i)
-                out.sddmm_out.push(rs[i], cs[i], dots[i]);
-        }
-        out.sddmm_out.sortRowMajor();
-    } else {
-        out.dout = DenseMatrix(grid_.matrixRows(), cfg_.din->cols());
-        for (const FtUnit& u : units_) {
-            auto rs = grid_.tileRows(u.tile);
-            auto cs = grid_.tileCols(u.tile);
-            auto vs = grid_.tileVals(u.tile);
-            accumulate(out.dout, *cfg_.din, rs.data(), cs.data(), vs.data(),
-                       rs.size());
-        }
-    }
+    std::vector<kernels::CooView> sets;
+    for (const FtUnit& u : units_)
+        sets.push_back({grid_.tileRows(u.tile).data(),
+                        grid_.tileCols(u.tile).data(),
+                        grid_.tileVals(u.tile).data(), grid_.tile(u.tile).nnz});
+    computeValues(grid_, kernel_, cfg_, sets, out);
 }
 
 SimOutput

@@ -23,17 +23,6 @@ namespace hottiles {
 
 namespace {
 
-/** Functionally accumulate one nonzero set into dout (fp32 like the HW),
- *  via the vectorized fast-policy kernel for the active SIMD tier. */
-void
-accumulate(DenseMatrix& dout, const DenseMatrix& din, const Index* rows,
-           const Index* cols, const Value* vals, size_t n)
-{
-    const kernels::CooView view{rows, cols, vals, n};
-    kernels::activeOps().spmm_coo_fast(view, din.cols(), din.row(0),
-                                       dout.row(0), 0, n);
-}
-
 struct TypeRun
 {
     std::vector<std::unique_ptr<PipelinedWorker>> pes;
@@ -134,7 +123,7 @@ simulateExecution(const Architecture& arch, const TileGrid& grid,
                 sliceUntiledWork(cold_work, arch.cold_pe.chunk_rows);
             std::vector<uint64_t> slice_nnz(slices.size());
             for (size_t s = 0; s < slices.size(); ++s)
-                slice_nnz[s] = slices[s].nnz();
+                slice_nnz[s] = slices[s].nnz;
             cb.shares = balancedShares(slice_nnz, arch.cold.count);
             for (uint32_t w = 0; w < arch.cold.count; ++w) {
                 if (cb.shares[w].empty())
@@ -348,58 +337,65 @@ simulateExecution(const Architecture& arch, const TileGrid& grid,
     st.hot_gflops = typeGflops(hot);
     st.cold_gflops = typeGflops(cold);
 
-    // Functional output from exactly the work lists the PEs executed.
+    // Functional output from exactly the work lists the PEs executed:
+    // the cold panels, then the hot tiles.  The COO kernels take a row
+    // id per nonzero, so each cold panel's row pointers are expanded.
     if (cfg.compute_values) {
-        HT_ASSERT(cfg.din, "compute_values requires din");
-        HT_ASSERT(cfg.din->rows() == grid.matrixCols(), "din shape mismatch");
-        if (kernel.kind == SparseKernel::Sddmm) {
-            HT_ASSERT(cfg.u, "SDDMM compute_values requires u");
-            HT_ASSERT(cfg.u->rows() == grid.matrixRows(),
-                      "u shape mismatch");
-            HT_ASSERT(cfg.u->cols() == cfg.din->cols(), "U/V K mismatch");
-            out.sddmm_out = CooMatrix(grid.matrixRows(), grid.matrixCols());
-            out.sddmm_out.reserve(st.total_nnz);
-            std::vector<Value> dots;
-            auto emit = [&](const Index* rows, const Index* cols,
-                            const Value* vals, size_t n) {
-                const Index kk = cfg.u->cols();
-                const kernels::CooView view{rows, cols, vals, n};
-                dots.resize(n);
-                kernels::activeOps().sddmm_fast(view, kk, cfg.u->row(0),
-                                                cfg.din->row(0),
-                                                dots.data(), 0, n);
-                for (size_t i = 0; i < n; ++i)
-                    out.sddmm_out.push(rows[i], cols[i], dots[i]);
-            };
-            for (const PanelWork& pw : cold_work.panels)
-                emit(pw.rows.data(), pw.cols.data(), pw.vals.data(),
-                     pw.rows.size());
-            for (const auto& tiles : hot_work.panel_tiles) {
-                for (size_t tid : tiles) {
-                    auto rs = grid.tileRows(tid);
-                    auto cs = grid.tileCols(tid);
-                    auto vs = grid.tileVals(tid);
-                    emit(rs.data(), cs.data(), vs.data(), rs.size());
-                }
-            }
-            out.sddmm_out.sortRowMajor();
-        } else {
-            out.dout = DenseMatrix(grid.matrixRows(), cfg.din->cols());
-            for (const PanelWork& pw : cold_work.panels)
-                accumulate(out.dout, *cfg.din, pw.rows.data(),
-                           pw.cols.data(), pw.vals.data(), pw.rows.size());
-            for (const auto& tiles : hot_work.panel_tiles) {
-                for (size_t tid : tiles) {
-                    auto rs = grid.tileRows(tid);
-                    auto cs = grid.tileCols(tid);
-                    auto vs = grid.tileVals(tid);
-                    accumulate(out.dout, *cfg.din, rs.data(), cs.data(),
-                               vs.data(), rs.size());
-                }
-            }
+        std::vector<std::vector<Index>> cold_rows(cold_work.panels.size());
+        std::vector<kernels::CooView> sets;
+        for (size_t p = 0; p < cold_work.panels.size(); ++p) {
+            const PanelWork& pw = cold_work.panels[p];
+            for (size_t r = 0; r + 1 < pw.row_ptr.size(); ++r)
+                cold_rows[p].resize(pw.row_ptr[r + 1],
+                                    pw.panel * grid.tileHeight() + Index(r));
+            sets.push_back({cold_rows[p].data(), pw.cols.data(),
+                            pw.vals.data(), pw.cols.size()});
         }
+        for (const auto& tiles : hot_work.panel_tiles)
+            for (size_t tid : tiles)
+                sets.push_back({grid.tileRows(tid).data(),
+                                grid.tileCols(tid).data(),
+                                grid.tileVals(tid).data(),
+                                grid.tile(tid).nnz});
+        computeValues(grid, kernel, cfg, sets, out);
     }
     return out;
+}
+
+void
+computeValues(const TileGrid& grid, const KernelConfig& kernel,
+              const SimConfig& cfg, const std::vector<kernels::CooView>& sets,
+              SimOutput& out)
+{
+    HT_ASSERT(cfg.din, "compute_values requires din");
+    HT_ASSERT(cfg.din->rows() == grid.matrixCols(), "din shape mismatch");
+    const bool sddmm = kernel.kind == SparseKernel::Sddmm;
+    const Index k = cfg.din->cols();
+    if (sddmm) {
+        HT_ASSERT(cfg.u, "SDDMM compute_values requires u");
+        HT_ASSERT(cfg.u->rows() == grid.matrixRows(), "u shape mismatch");
+        HT_ASSERT(cfg.u->cols() == k, "U/V K mismatch");
+        out.sddmm_out = CooMatrix(grid.matrixRows(), grid.matrixCols());
+        out.sddmm_out.reserve(grid.matrixNnz());
+    } else {
+        out.dout = DenseMatrix(grid.matrixRows(), k);
+    }
+    const kernels::KernelOps& ops = kernels::activeOps();
+    std::vector<Value> dots;
+    for (const kernels::CooView& v : sets) {
+        if (!sddmm) {
+            ops.spmm_coo_fast(v, k, cfg.din->row(0), out.dout.row(0), 0,
+                              v.nnz);
+            continue;
+        }
+        dots.resize(v.nnz);
+        ops.sddmm_fast(v, k, cfg.u->row(0), cfg.din->row(0), dots.data(), 0,
+                       v.nnz);
+        for (size_t i = 0; i < v.nnz; ++i)
+            out.sddmm_out.push(v.row_ids[i], v.col_ids[i], dots[i]);
+    }
+    if (sddmm)
+        out.sddmm_out.sortRowMajor();
 }
 
 SimOutput

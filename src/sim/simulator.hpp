@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "arch/arch_config.hpp"
+#include "kernels/kernel_api.hpp"
 #include "sim/worker.hpp"
 #include "sparse/dense.hpp"
 #include "sparse/tiling.hpp"
@@ -143,5 +144,16 @@ SimOutput simulateExecution(const Architecture& arch, const TileGrid& grid,
 SimOutput simulateHomogeneous(const Architecture& arch, const TileGrid& grid,
                               bool hot, const KernelConfig& kernel,
                               const SimConfig& cfg = {});
+
+/**
+ * The functional output of a simulation (SimConfig::compute_values):
+ * runs the nonzero sets @p sets, in order, through the fast-policy COO
+ * kernels (fp32 like the hardware).  SpMM and SpMV accumulate into
+ * out.dout; SDDMM emits one scalar per nonzero into out.sddmm_out.
+ */
+void computeValues(const TileGrid& grid, const KernelConfig& kernel,
+                   const SimConfig& cfg,
+                   const std::vector<kernels::CooView>& sets,
+                   SimOutput& out);
 
 } // namespace hottiles

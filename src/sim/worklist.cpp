@@ -46,35 +46,34 @@ buildUntiledWork(const TileGrid& grid, const std::vector<size_t>& tile_ids)
     // Row-major order comes from a counting sort by row: tiles are
     // visited in ascending tile-column order and each tile is already
     // (row, col)-sorted, so scattering per row preserves ascending
-    // columns — no comparison sort needed.
-    const size_t tile_h = grid.tileHeight();
+    // columns — no comparison sort needed.  The counts' prefix sums are
+    // the panel's CSR row pointers.
+    const Index tile_h = grid.tileHeight();
     parallelFor(0, groups.size(), kGrainPanels, [&](size_t gb, size_t ge) {
-        std::vector<size_t> cursor(tile_h + 1);
+        std::vector<size_t> cursor;
         for (size_t g = gb; g < ge; ++g) {
             auto [first, last] = groups[g];
-            const Index panel = grid.tile(tile_ids[first]).panel;
-            const Index row0 = grid.tile(tile_ids[first]).row0;
-            size_t nnz = 0;
-            std::fill(cursor.begin(), cursor.end(), 0);
-            for (size_t t = first; t < last; ++t) {
-                nnz += grid.tile(tile_ids[t]).nnz;
-                for (Index r : grid.tileRows(tile_ids[t]))
-                    ++cursor[r - row0 + 1];
-            }
-            for (size_t r = 1; r <= tile_h; ++r)
-                cursor[r] += cursor[r - 1];
+            const Tile& head = grid.tile(tile_ids[first]);
+            const Index row0 = head.row0;
+            const Index height =
+                std::min(tile_h, Index(grid.matrixRows() - row0));
             PanelWork& pw = work.panels[g];
-            pw.panel = panel;
-            pw.rows.resize(nnz);
-            pw.cols.resize(nnz);
-            pw.vals.resize(nnz);
+            pw.panel = head.panel;
+            pw.row_ptr.assign(size_t(height) + 1, 0);
+            for (size_t t = first; t < last; ++t)
+                for (Index r : grid.tileRows(tile_ids[t]))
+                    ++pw.row_ptr[r - row0 + 1];
+            for (Index r = 1; r <= height; ++r)
+                pw.row_ptr[r] += pw.row_ptr[r - 1];
+            pw.cols.resize(pw.row_ptr[height]);
+            pw.vals.resize(pw.row_ptr[height]);
+            cursor.assign(pw.row_ptr.begin(), pw.row_ptr.end() - 1);
             for (size_t t = first; t < last; ++t) {
                 auto rs = grid.tileRows(tile_ids[t]);
                 auto cs = grid.tileCols(tile_ids[t]);
                 auto vs = grid.tileVals(tile_ids[t]);
                 for (size_t i = 0; i < rs.size(); ++i) {
                     size_t pos = cursor[rs[i] - row0]++;
-                    pw.rows[pos] = rs[i];
                     pw.cols[pos] = cs[i];
                     pw.vals[pos] = vs[i];
                 }
@@ -82,7 +81,7 @@ buildUntiledWork(const TileGrid& grid, const std::vector<size_t>& tile_ids)
         }
     });
     for (const PanelWork& pw : work.panels)
-        work.total_nnz += pw.rows.size();
+        work.total_nnz += pw.cols.size();
     return work;
 }
 

@@ -23,11 +23,17 @@ namespace hottiles {
 
 class SegmentBuildCache;
 
-/** One row panel's share of an untiled worker's matrix subset. */
+/**
+ * One row panel's share of an untiled worker's matrix subset, as a
+ * panel-local CSR: local row r (matrix row panel * tile_height + r)
+ * owns nonzeros [row_ptr[r], row_ptr[r + 1]) of cols/vals, in ascending
+ * column order.  row_ptr has one entry per panel row plus one
+ * (tile_height + 1, fewer only in a last, shorter panel).
+ */
 struct PanelWork
 {
     Index panel = 0;
-    std::vector<Index> rows;  //!< row-major sorted
+    std::vector<size_t> row_ptr;
     std::vector<Index> cols;
     std::vector<Value> vals;
 };
@@ -49,8 +55,8 @@ struct TiledWork
 
 /**
  * Merge the given tiles into untiled row-major panels.  Tiles from the
- * same panel are merged and re-sorted by (row, col); panels appear in
- * increasing order.
+ * same panel are merged into one panel-local CSR (rows in order, each
+ * row's columns ascending); panels appear in increasing order.
  */
 UntiledWork buildUntiledWork(const TileGrid& grid,
                              const std::vector<size_t>& tile_ids);

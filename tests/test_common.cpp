@@ -269,6 +269,23 @@ TEST(Histogram, QuantileEdgeCasesArePinned)
     EXPECT_DEATH(h.quantile(1.5), "quantile");
 }
 
+TEST(Histogram, LogBinsHaveEqualRatios)
+{
+    // Decades 1-10-100-1000 in 3 bins: edges 1, 10, 100, 1000.
+    Histogram h(1.0, 1000.0, 3, BinScale::Log);
+    for (size_t i = 0; i <= 3; ++i)
+        EXPECT_NEAR(h.binLo(i), std::pow(10.0, double(i)), 1e-9);
+    for (double x : {0.0, 5.0, 50.0, 5e6})  // 0 and 5e6 clamp
+        h.add(x);
+    EXPECT_EQ(h.binCount(0), 2u);
+    EXPECT_EQ(h.binCount(1), 1u);
+    EXPECT_EQ(h.binCount(2), 1u);
+    // Quantiles land on upper bin edges, as for linear bins.
+    EXPECT_NEAR(h.quantile(0.5), 10.0, 1e-12);
+    EXPECT_NEAR(h.quantile(0.75), 100.0, 1e-10);
+    EXPECT_DEATH(Histogram(0.0, 1.0, 4, BinScale::Log), "lo > 0");
+}
+
 TEST(StringUtil, Trim)
 {
     EXPECT_EQ(trim("  abc \t\n"), "abc");

@@ -15,6 +15,8 @@
  *    insert/delete batches through HotTiles::applyDelta keep the grid,
  *    partition plan and SpMM output bit-identical to from-scratch
  *    preprocessing across {1, 2, 7} threads.
+ *  - IncrementalPatchValues: the value-only fast path patches the tiled
+ *    arrays and the cold format into the state of a fresh build.
  *  - IncrementalFingerprint: chaining a delta through the
  *    FingerprintAccumulator equals re-fingerprinting the patched
  *    matrix, and structural changes never leave the fingerprint fixed.
@@ -312,6 +314,36 @@ TEST(IncrementalPipeline, UpdateStageLandsInTiming)
         found = found || std::string(s.name) == "update";
     EXPECT_TRUE(found);
     EXPECT_GE(pt.total(), pt.update_s);
+}
+
+// ------------------------------------------------- value-only patch
+
+TEST(IncrementalPatchValues, HotAndColdEntriesMatchRebuild)
+{
+    const Architecture& arch = testArch();
+    HotTilesOptions opts;
+    opts.build_formats = true;
+    CooMatrix m = testMatrix(61);
+    HotTiles ht(arch, m, opts);
+
+    // Every 97th nonzero, so both classes and many panels are hit; the
+    // first coordinate repeats at the end (last write wins).
+    ValueUpdateBatch u;
+    size_t hot = 0, cold = 0;
+    for (size_t i = 0; i < m.nnz(); i += 97) {
+        size_t tile = 0;
+        ASSERT_NE(ht.grid().findNonzero(m.rowId(i), m.colId(i), &tile),
+                  SIZE_MAX);
+        (ht.partition().is_hot[tile] ? hot : cold) += 1;
+        u.push(m.rowId(i), m.colId(i), Value(i % 13) - 6.5f);
+    }
+    u.push(m.rowId(0), m.colId(0), 42.0f);
+    ASSERT_GT(hot, 0u);
+    ASSERT_GT(cold, 0u);
+
+    EXPECT_EQ(ht.patchValues(u), u.size());
+    HotTiles fresh(arch, applyValueUpdatesToCoo(m, u), opts);
+    EXPECT_TRUE(samePreprocessedState(ht, fresh));
 }
 
 // ------------------------------------------- fingerprint delta chain

@@ -60,6 +60,37 @@ totalWriteLines(const std::vector<SegSpec>& segs)
     return n;
 }
 
+/**
+ * @p slices must walk every panel of @p w in order: each slice starts
+ * at a non-empty row and spans @p chunk rows (fewer only at the panel
+ * end), the rows between slices are empty, and a slice's nnz is its
+ * rows' nonzeros.
+ */
+void
+expectRowAlignedSlices(const UntiledWork& w,
+                       const std::vector<PanelSlice>& slices, Index chunk)
+{
+    size_t s = 0;
+    for (size_t p = 0; p < w.panels.size(); ++p) {
+        const std::vector<size_t>& rp = w.panels[p].row_ptr;
+        const Index height = Index(rp.size() - 1);
+        Index next = 0;  // first row no slice has covered yet
+        for (; s < slices.size() && slices[s].panel == p; ++s) {
+            const PanelSlice& sl = slices[s];
+            ASSERT_LE(next, sl.row_begin);
+            ASSERT_LT(sl.row_begin, height);
+            EXPECT_EQ(rp[next], rp[sl.row_begin]);  // skipped rows empty
+            EXPECT_LT(rp[sl.row_begin], rp[sl.row_begin + 1]);
+            EXPECT_EQ(sl.row_end,
+                      sl.row_begin + std::min(chunk, height - sl.row_begin));
+            EXPECT_EQ(sl.nnz, rp[sl.row_end] - rp[sl.row_begin]);
+            next = sl.row_end;
+        }
+        EXPECT_EQ(rp[next], rp[height]);  // no nonzero after the last
+    }
+    EXPECT_EQ(s, slices.size());
+}
+
 } // namespace
 
 TEST(SliceUntiled, RowAlignedChunks)
@@ -67,22 +98,48 @@ TEST(SliceUntiled, RowAlignedChunks)
     CooMatrix m = genUniform(256, 256, 3000, 41);
     TileGrid g(m, 64, 64);
     UntiledWork w = buildUntiledWork(g, allTiles(g));
-    auto slices = sliceUntiledWork(w, 16);
-    size_t covered = 0;
-    for (const auto& sl : slices) {
-        const PanelWork& pw = w.panels[sl.panel];
-        covered += sl.nnz();
-        ASSERT_LT(sl.begin, sl.end);
-        // Chunk spans at most 16 distinct rows and is row aligned.
-        EXPECT_LT(pw.rows[sl.end - 1], pw.rows[sl.begin] + 16);
-        if (sl.begin > 0) {
-            EXPECT_NE(pw.rows[sl.begin - 1], pw.rows[sl.begin]);
-        }
-        if (sl.end < pw.rows.size()) {
-            EXPECT_NE(pw.rows[sl.end - 1], pw.rows[sl.end]);
-        }
+    expectRowAlignedSlices(w, sliceUntiledWork(w, 16), 16);
+}
+
+TEST(SliceUntiled, EmptyRowsShortPanelAndLongRow)
+{
+    // 8-row panels over 21 rows (the last panel has 5).  Panel 0 has
+    // empty leading, middle and trailing rows around a 150-nonzero row
+    // (more than 4 x segment_nnz); panel 2 has empty rows between its
+    // first and last row.
+    CooMatrix m(21, 300);
+    m.push(2, 7, 1);
+    for (Index c = 0; c < 150; ++c)
+        m.push(4, c, 1);
+    m.push(16, 3, 1);
+    m.push(20, 10, 1);
+    m.push(20, 290, 1);
+    TileGrid g(m, 8, 64);
+    UntiledWork w = buildUntiledWork(g, allTiles(g));
+    for (Index chunk : {1u, 2u, 3u, 8u, 64u})
+        expectRowAlignedSlices(w, sliceUntiledWork(w, chunk), chunk);
+
+    // Chunks of 2 rows: panel 0's rows [2, 4) and [4, 6), panel 2's
+    // rows [0, 2) and [4, 5).  One Dout read and write per non-empty
+    // row; the long row is cut at 4 x segment_nnz.  K = 16 fp32 makes
+    // every dense row one line; 154 COO nonzeros are 1848 sparse bytes,
+    // 28 whole lines.
+    KernelConfig kc;
+    kc.k = 16;
+    DemandPeParams p;
+    p.segment_nnz = 32;
+    DemandBuild b =
+        buildDemandSegments(w, sliceUntiledWork(w, 2), coldCoo(), kc, p);
+    EXPECT_EQ(b.nnz, m.nnz());
+    std::vector<uint32_t> nnz, units;
+    for (const SegSpec& sg : b.segs) {
+        nnz.push_back(sg.nnz);
+        units.push_back(sg.unit);
     }
-    EXPECT_EQ(covered, m.nnz());
+    EXPECT_EQ(nnz, (std::vector<uint32_t>{1, 128, 22, 1, 2}));
+    EXPECT_EQ(units, (std::vector<uint32_t>{0, 0, 0, 2, 2}));
+    EXPECT_EQ(totalReadLines(b.segs), 154u + 4u + 28u);
+    EXPECT_EQ(totalWriteLines(b.segs), 4u);
 }
 
 TEST(DemandPe, NoCacheLineCountMatchesHandMath)

@@ -20,8 +20,10 @@
  *    to the serial reference.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <map>
@@ -679,8 +681,7 @@ TEST(ServeTenantMetrics, PerTenantLatencyHistogramsRecorded)
         return req;
     };
     const uint64_t alice_before =
-        reg.histogram("serve.tenant.alice.latency_ms", 0.0,
-                      cfg.default_deadline_ms, 64)
+        tenantLatencyHistogram(reg, "alice", cfg.default_deadline_ms)
             .histogram()
             .total();
     ASSERT_EQ(service.call(tenant_req(1, "alice")).status, ServeStatus::Ok);
@@ -689,13 +690,11 @@ TEST(ServeTenantMetrics, PerTenantLatencyHistogramsRecorded)
     ASSERT_EQ(service.call(tenant_req(3, "bob/9")).status, ServeStatus::Ok);
     service.stop();
 
-    EXPECT_EQ(reg.histogram("serve.tenant.alice.latency_ms", 0.0,
-                            cfg.default_deadline_ms, 64)
+    EXPECT_EQ(tenantLatencyHistogram(reg, "alice", cfg.default_deadline_ms)
                   .histogram()
                   .total(),
               alice_before + 2);
-    EXPECT_GE(reg.histogram("serve.tenant.bob_9.latency_ms", 0.0,
-                            cfg.default_deadline_ms, 64)
+    EXPECT_GE(tenantLatencyHistogram(reg, "bob_9", cfg.default_deadline_ms)
                   .histogram()
                   .total(),
               1u);
@@ -708,6 +707,36 @@ TEST(ServeTenantMetrics, PerTenantLatencyHistogramsRecorded)
     EXPECT_NE(s.find("serve.tenant.bob_9.latency_ms"), std::string::npos);
     EXPECT_NE(s.find("\"p50\""), std::string::npos);
     EXPECT_NE(s.find("\"p99\""), std::string::npos);
+    EXPECT_NE(s.find("\"scale\":\"log\""), std::string::npos);
+}
+
+TEST(ServeTenantMetrics, LatencyQuantilesWithinFivePercentOfSamples)
+{
+    // Latencies spread over 0.05 ms - 5 s under bench_serving's 60 s
+    // deadline: log-uniform, and a bulk near 40 ms with a slow tail.
+    // p50/p90/p99 must stay within 5% of the exact nearest-rank sample
+    // quantiles.
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+        MetricsRegistry reg;
+        HistogramMetric& h = tenantLatencyHistogram(reg, "t", 60000);
+        Rng rng(seed);
+        std::vector<double> xs(3000);
+        for (double& x : xs) {
+            const bool bulk = seed % 2 == 0 && rng.nextBool(0.95);
+            x = bulk ? 40.0 * std::exp(0.3 * rng.nextGaussian())
+                     : 0.05 * std::pow(1e5, rng.nextDouble());
+            x = std::clamp(x, 0.05, 5000.0);
+            h.observe(x);
+        }
+        std::sort(xs.begin(), xs.end());
+        const Histogram hist = h.histogram();
+        for (double q : {0.5, 0.9, 0.99}) {
+            const double exact =
+                xs[size_t(std::ceil(q * double(xs.size()))) - 1];
+            EXPECT_NEAR(hist.quantile(q), exact, 0.05 * exact)
+                << "seed " << seed << " q " << q;
+        }
+    }
 }
 
 TEST(IncrementalServe, DeltaInvalidatesExactlyTheAffectedPlan)

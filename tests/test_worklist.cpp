@@ -8,6 +8,7 @@
 #include "sim/segment_cache.hpp"
 #include "sim/simulator.hpp"
 #include "sim/worklist.hpp"
+#include "sparse/csr.hpp"
 #include "sparse/generators.hpp"
 
 using namespace hottiles;
@@ -22,6 +23,41 @@ allTiles(const TileGrid& g)
     return ids;
 }
 
+/**
+ * Each panel of @p w must be its rows' slice of the CSR that
+ * CsrMatrix::fromCoo (a comparison sort) builds from the tiles @p ids,
+ * rebased to the panel's first nonzero; panels ascend and cover every
+ * nonzero once.
+ */
+void
+expectPanelsAreCsr(const TileGrid& g, const std::vector<size_t>& ids,
+                   const UntiledWork& w)
+{
+    CooMatrix sub(g.matrixRows(), g.matrixCols());
+    for (size_t id : ids)
+        for (size_t i = 0; i < g.tile(id).nnz; ++i)
+            sub.push(g.tileRows(id)[i], g.tileCols(id)[i], g.tileVals(id)[i]);
+    const CsrMatrix ref = CsrMatrix::fromCoo(sub);
+    size_t covered = 0;
+    for (size_t p = 0; p < w.panels.size(); ++p) {
+        const PanelWork& pw = w.panels[p];
+        ASSERT_TRUE(p == 0 || pw.panel > w.panels[p - 1].panel);
+        const Index row0 = pw.panel * g.tileHeight();
+        ASSERT_EQ(pw.row_ptr.size() - 1,
+                  std::min(g.tileHeight(), g.matrixRows() - row0));
+        const size_t b = ref.rowBegin(row0);
+        for (size_t r = 0; r < pw.row_ptr.size(); ++r)
+            EXPECT_EQ(pw.row_ptr[r], ref.rowPtr()[row0 + r] - b);
+        EXPECT_TRUE(std::equal(pw.cols.begin(), pw.cols.end(),
+                               ref.colIds().begin() + b));
+        EXPECT_TRUE(std::equal(pw.vals.begin(), pw.vals.end(),
+                               ref.values().begin() + b));
+        covered += pw.cols.size();
+    }
+    EXPECT_EQ(covered, ref.nnz());
+    EXPECT_EQ(w.total_nnz, ref.nnz());
+}
+
 } // namespace
 
 TEST(Worklist, UntiledCoversAllNonzerosRowMajor)
@@ -30,20 +66,7 @@ TEST(Worklist, UntiledCoversAllNonzerosRowMajor)
     TileGrid g(m, 64, 64);
     UntiledWork w = buildUntiledWork(g, allTiles(g));
     EXPECT_EQ(w.total_nnz, m.nnz());
-    size_t seen = 0;
-    for (const PanelWork& pw : w.panels) {
-        for (size_t i = 0; i < pw.rows.size(); ++i) {
-            // Row-major sorted within the panel; rows inside the panel.
-            ASSERT_EQ(pw.rows[i] / 64, pw.panel);
-            if (i > 0) {
-                ASSERT_TRUE(pw.rows[i] > pw.rows[i - 1] ||
-                            (pw.rows[i] == pw.rows[i - 1] &&
-                             pw.cols[i] > pw.cols[i - 1]));
-            }
-        }
-        seen += pw.rows.size();
-    }
-    EXPECT_EQ(seen, m.nnz());
+    expectPanelsAreCsr(g, allTiles(g), w);
 }
 
 TEST(Worklist, UntiledMergesTilesOfAPanel)
@@ -57,14 +80,46 @@ TEST(Worklist, UntiledMergesTilesOfAPanel)
     UntiledWork w = buildUntiledWork(g, allTiles(g));
     ASSERT_EQ(w.panels.size(), 1u);
     const PanelWork& pw = w.panels[0];
-    ASSERT_EQ(pw.rows.size(), 3u);
-    EXPECT_EQ(pw.rows[0], 0u);
-    EXPECT_EQ(pw.cols[0], 5u);
-    EXPECT_EQ(pw.rows[1], 1u);
-    EXPECT_EQ(pw.cols[1], 2u);
-    EXPECT_EQ(pw.rows[2], 1u);
-    EXPECT_EQ(pw.cols[2], 6u);
+    // Row 0 holds column 5; row 1 holds columns 2 then 6; rows 2-3 are
+    // empty.
+    EXPECT_EQ(pw.row_ptr, (std::vector<size_t>{0, 1, 3, 3, 3}));
+    EXPECT_EQ(pw.cols, (std::vector<Index>{5, 2, 6}));
     EXPECT_FLOAT_EQ(pw.vals[1], 2.0f);
+}
+
+TEST(Worklist, UntiledPanelEdgeCases)
+{
+    // 8-row panels over 21 rows: the last panel has 5 rows.  Panel 0
+    // has empty leading (0-1), middle (3) and trailing (5-7) rows and a
+    // 150-nonzero row spanning three tile columns; panel 1 holds one
+    // nonzero in its last tile column.
+    CooMatrix m(21, 300);
+    for (Index c : {5u, 70u, 200u})
+        m.push(2, c, Value(c));
+    for (Index c = 0; c < 150; ++c)
+        m.push(4, c, Value(c) + 0.5f);
+    m.push(9, 299, 9);
+    m.push(16, 3, 16);
+    m.push(20, 10, 20);
+    m.push(20, 290, 21);
+    TileGrid g(m, 8, 64);
+    const std::vector<size_t> ids = allTiles(g);
+    UntiledWork w = buildUntiledWork(g, ids);
+    expectPanelsAreCsr(g, ids, w);
+    ASSERT_EQ(w.panels.size(), 3u);
+    EXPECT_EQ(w.panels[0].row_ptr,
+              (std::vector<size_t>{0, 0, 0, 3, 3, 153, 153, 153, 153}));
+    EXPECT_EQ(w.panels[2].row_ptr, (std::vector<size_t>{0, 1, 1, 1, 1, 3}));
+
+    // A subset that leaves panel 1 out and splits panel 0's long row.
+    std::vector<size_t> subset;
+    for (size_t id : ids)
+        if (g.tile(id).panel != 1 && g.tile(id).tcol != 1)
+            subset.push_back(id);
+    UntiledWork ws = buildUntiledWork(g, subset);
+    expectPanelsAreCsr(g, subset, ws);
+    ASSERT_EQ(ws.panels.size(), 2u);
+    EXPECT_EQ(ws.panels[1].panel, 2u);
 }
 
 TEST(Worklist, UntiledSubsetSelectsOnlyGivenTiles)
@@ -75,11 +130,7 @@ TEST(Worklist, UntiledSubsetSelectsOnlyGivenTiles)
     std::vector<size_t> subset;
     for (size_t i = 0; i < g.numTiles(); i += 2)
         subset.push_back(i);
-    UntiledWork w = buildUntiledWork(g, subset);
-    size_t expected = 0;
-    for (size_t id : subset)
-        expected += g.tile(id).nnz;
-    EXPECT_EQ(w.total_nnz, expected);
+    expectPanelsAreCsr(g, subset, buildUntiledWork(g, subset));
 }
 
 TEST(Worklist, TiledGroupsByPanelInOrder)
@@ -218,7 +269,7 @@ TEST(WorkListCache, BuildsOnceAndCountsHits)
     UntiledWork direct = buildUntiledWork(g, subset);
     ASSERT_EQ(c.panels.size(), direct.panels.size());
     for (size_t p = 0; p < c.panels.size(); ++p) {
-        EXPECT_EQ(c.panels[p].rows, direct.panels[p].rows);
+        EXPECT_EQ(c.panels[p].row_ptr, direct.panels[p].row_ptr);
         EXPECT_EQ(c.panels[p].cols, direct.panels[p].cols);
         EXPECT_EQ(c.panels[p].vals, direct.panels[p].vals);
     }
