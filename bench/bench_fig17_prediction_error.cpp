@@ -34,7 +34,8 @@ relError(double predicted, double actual)
     return 100.0 * std::abs(predicted - actual) / actual;
 }
 
-/** One line summarising a per-unit error sample set. */
+/** One line summarising a per-unit error sample set: exact order
+ *  statistics over the sorted samples. */
 void
 printUnitErrors(const char* kind, const std::vector<PredictionErrorSample>&
                 samples)
@@ -43,17 +44,12 @@ printUnitErrors(const char* kind, const std::vector<PredictionErrorSample>&
         std::cout << "  " << kind << ": no units\n";
         return;
     }
-    Summary s;
-    Histogram h(0.0, 200.0, 40);
-    for (const auto& u : samples) {
-        s.add(u.error_pct);
-        h.add(u.error_pct);
-    }
-    std::cout << "  " << kind << ": " << s.count() << " units, mean "
-              << Table::num(s.mean(), 1) << "%, p50 "
-              << Table::num(h.quantile(0.5), 1) << "%, p90 "
-              << Table::num(h.quantile(0.9), 1) << "%, max "
-              << Table::num(s.max(), 1) << "%\n";
+    const PredictionErrorSummary s = summarizePredictionError(samples);
+    std::cout << "  " << kind << ": " << s.count << " units, mean "
+              << Table::num(s.mean_pct, 1) << "%, p50 "
+              << Table::num(s.p50_pct, 1) << "%, p90 "
+              << Table::num(s.p90_pct, 1) << "%, max "
+              << Table::num(s.max_pct, 1) << "%\n";
 }
 
 void

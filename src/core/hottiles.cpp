@@ -100,7 +100,6 @@ HotTiles::buildPipeline(
         timing_.format_base_s = t4 - t3;
         hot_format_ = buildTiledWork(*grid_, partition_.hotTiles());
         timing_.format_extra_s = monotonicSeconds() - t4;
-        formats_built_ = true;
         recordPeakRss();
     }
 
@@ -210,7 +209,7 @@ HotTiles::applyDelta(const DeltaBatch& d)
     // data and its cold membership both stayed put — the per-panel
     // equivalent of PR 3's SegmentBuildCache, applied across a grid
     // mutation — and rebuilds the rest with one buildUntiledWork call.
-    if (formats_built_) {
+    if (opts_.build_formats) {
         ScopedTimer fmt_timer("preprocess.update_formats");
         hot_format_ = buildTiledWork(*grid_, partition_.hotTiles());
 
@@ -329,7 +328,7 @@ HotTiles::patchValues(const ValueUpdateBatch& u)
     // the matching PanelWork entry patched too.
     for (size_t i = 0; i < u.size(); ++i) {
         grid_->setTiledValue(pos[i], u.vals[i]);
-        if (!formats_built_ || partition_.is_hot[tile[i]])
+        if (!opts_.build_formats || partition_.is_hot[tile[i]])
             continue;
         const Index panel = grid_->tile(tile[i]).panel;
         auto& panels = cold_format_.panels;
@@ -355,14 +354,14 @@ HotTiles::patchValues(const ValueUpdateBatch& u)
 const UntiledWork&
 HotTiles::coldFormat() const
 {
-    HT_ASSERT(formats_built_, "formats were not built; set build_formats");
+    HT_ASSERT(opts_.build_formats, "formats were not built; set build_formats");
     return cold_format_;
 }
 
 const TiledWork&
 HotTiles::hotFormat() const
 {
-    HT_ASSERT(formats_built_, "formats were not built; set build_formats");
+    HT_ASSERT(opts_.build_formats, "formats were not built; set build_formats");
     return hot_format_;
 }
 

@@ -114,7 +114,8 @@ class HotTiles
     double predictedHotOnlyCycles() const;
     double predictedColdOnlyCycles() const;
 
-    /** Per-worker-type formats for the selected partitioning. */
+    /** Per-worker-type formats for the selected partitioning: what
+     *  native execution runs (exec::ExecutionBackend::run). */
     const UntiledWork& coldFormat() const;
     const TiledWork& hotFormat() const;
 
@@ -166,7 +167,6 @@ class HotTiles
     Partition partition_;
     UntiledWork cold_format_;
     TiledWork hot_format_;
-    bool formats_built_ = false;
     PreprocessTiming timing_;
     /** Per-heuristic sweep state for incremental re-partitioning; empty
      *  (no memory cost) until the first applyDelta seeds it. */

@@ -33,6 +33,7 @@
 #include "core/telemetry.hpp"
 #include "kernels/kernel_api.hpp"
 #include "partition/partition.hpp"
+#include "sim/worklist.hpp"
 #include "sparse/dense.hpp"
 #include "sparse/tiling.hpp"
 
@@ -102,9 +103,9 @@ struct ExecReport
     unsigned threads = 0;        //!< pool parallelism used
     unsigned hot_executors = 0;  //!< slots serving the hot queue
     unsigned cold_executors = 0;
-    /** Set-up before the parallel region: the class work lists (the
-     *  cold panels with their CSR row pointers), task descriptors and
-     *  panel-buffer allocation. */
+    /** Set-up before the parallel region: checking the formats, task
+     *  descriptors, joins and panel buffers (plus, in the stateless
+     *  run, building the formats). */
     double prepare_s = 0;
     double wall_s = 0;           //!< output allocation + parallel tasks
     double gflops = 0;           //!< kernel FLOPs / wall_s
@@ -125,17 +126,24 @@ class ExecutionBackend
   public:
     virtual ~ExecutionBackend() = default;
 
-    virtual const char* name() const = 0;
-
     /**
-     * Execute @p p over @p grid: hot-assigned tiles through the tiled
-     * kernels, cold tiles through untiled CSR panels.  @p din must be
-     * matrixCols() x kernel.k.
+     * Execute @p p over @p grid from its worker formats, e.g. HotTiles'
+     * hotFormat()/coldFormat(): @p hot's tiles through the tiled
+     * kernels, @p cold's panels through the CSR kernels.  @p din must
+     * be matrixCols() x kernel.k.  Formats that do not fit the grid and
+     * partition raise a FatalError before any work.
      */
     virtual DenseMatrix run(const TileGrid& grid, const Partition& p,
+                            const TiledWork& hot, const UntiledWork& cold,
                             const KernelConfig& kernel,
                             const DenseMatrix& din,
                             ExecReport* report = nullptr) = 0;
+
+    /** Stateless convenience: build both formats of @p p and run them;
+     *  @p report's prepare_s includes the build. */
+    DenseMatrix run(const TileGrid& grid, const Partition& p,
+                    const KernelConfig& kernel, const DenseMatrix& din,
+                    ExecReport* report = nullptr);
 };
 
 /** The host-CPU backend (docs/EXECUTION.md). */
@@ -147,8 +155,9 @@ std::unique_ptr<ExecutionBackend> makeNativeCpuBackend(
  * accumulation order (hot tiles per panel in tile-column order, cold
  * panels in untiled row-major order, classes merged element-wise with a
  * single double -> Value cast) executed one unit at a time on the
- * scalar kernel tier.  A Golden-policy NativeCpuBackend run is
- * bit-identical to this at any thread count.
+ * scalar kernel tier, over work lists it builds itself from (grid, p).
+ * A Golden-policy NativeCpuBackend run is bit-identical to this at any
+ * thread count.
  */
 DenseMatrix referenceExecute(const TileGrid& grid, const Partition& p,
                              const KernelConfig& kernel,

@@ -3,6 +3,8 @@
  * NativeCpuBackend: executes a partition plan for real on the host
  * (docs/EXECUTION.md).  Work model:
  *
+ *  - A run executes the worker formats it is handed, never a copy;
+ *    preparePlan checks them and derives the tasks and joins.
  *  - The unit of scheduling is one row panel per class.  A hot task runs
  *    the panel's hot tiles in tile-column order through the streaming
  *    COO kernels; a cold task runs the panel's merged cold nonzeros, a
@@ -58,24 +60,16 @@ using kernels::Policy;
 /** Join index of a panel that one class owns alone. */
 constexpr uint32_t kNoJoin = UINT32_MAX;
 
-/** A hot task: one panel's hot tiles (index into TiledWork). */
-struct HotTask
+/** One panel's share of one class, at the task's own index in its
+ *  class's work list: the hot tiles (TiledWork::panel_tiles) or the
+ *  merged cold nonzeros as a local CSR (UntiledWork::panels). */
+struct PanelTask
 {
     Index panel = 0;
-    size_t work = 0;   //!< index into TiledWork::panel_tiles
     size_t nnz = 0;
-    size_t unit0 = 0;  //!< first slot in the per-tile time vector
-    uint32_t join = kNoJoin;  //!< the panel's join when cold owns it too
-};
-
-/** A cold task: one panel's merged cold nonzeros as a local CSR. */
-struct ColdTask
-{
-    Index panel = 0;
-    size_t work = 0;  //!< index into UntiledWork::panels
-    size_t nnz = 0;
-    size_t tiles = 0;  //!< cold tiles merged into this panel
-    uint32_t join = kNoJoin;  //!< the panel's join when hot owns it too
+    size_t tiles = 0;  //!< hot tiles, or cold tiles merged
+    size_t unit0 = 0;  //!< hot: first slot in the per-tile time vector
+    uint32_t join = kNoJoin;  //!< the panel's join when both classes own it
 };
 
 struct Task
@@ -126,15 +120,13 @@ class TaskQueue
     std::deque<Task> q_;
 };
 
-/** Both classes' work lists plus the derived task descriptors. */
+/** Both classes' work lists (borrowed) plus the derived tasks. */
 struct ExecPlan
 {
-    TiledWork hot_w;
-    UntiledWork cold_w;
-    std::vector<HotTask> hot_tasks;
-    std::vector<ColdTask> cold_tasks;
+    const TiledWork& hot_w;
+    const UntiledWork& cold_w;
+    std::vector<PanelTask> tasks[2] = {};  //!< per class: 0 hot, 1 cold
     size_t hot_tiles = 0;
-    size_t cold_tiles = 0;
     uint32_t joins = 0;  //!< panels both classes own
 };
 
@@ -160,46 +152,84 @@ std::pair<Index, Index> panelRows(const TileGrid& grid, Index panel)
     return {row0, std::min(grid.tileHeight(), grid.matrixRows() - row0)};
 }
 
-ExecPlan preparePlan(const TileGrid& grid, const Partition& p)
+/**
+ * Derive the tasks and joins of (@p hot, @p cold), first checking in
+ * O(panels + hot tiles) (beyond the cold tasks' own tile counts) that
+ * they fit @p grid and @p p: panels ascend within the grid, hot panels
+ * list their own hot tiles in order, each cold panel is a CSR of its
+ * cold tiles, and together they hold the grid's nonzeros.
+ */
+ExecPlan preparePlan(const TileGrid& grid, const Partition& p,
+                     const TiledWork& hot, const UntiledWork& cold)
 {
-    ExecPlan plan;
-    plan.hot_w = buildTiledWork(grid, p.hotTiles());
-    plan.cold_w = buildUntiledWork(grid, p.coldTiles());
+    ExecPlan plan{hot, cold};
+    auto& [hot_tasks, cold_tasks] = plan.tasks;
+    const Index np = grid.numPanels();
+    auto checkPanel = [&](const char* cls, Index panel, size_t i, Index prev) {
+        HT_FATAL_IF(panel >= np || (i > 0 && panel <= prev), "native exec: ",
+                    cls, " work lists panel ", panel, " out of order or past "
+                    "the grid's ", np, " panels");
+    };
+    HT_FATAL_IF(hot.panel_ids.size() != hot.panel_tiles.size(),
+                "native exec: hot work has ", hot.panel_ids.size(),
+                " panel ids for ", hot.panel_tiles.size(), " tile lists");
 
-    plan.hot_tasks.reserve(plan.hot_w.panel_tiles.size());
-    size_t unit = 0;
-    for (size_t i = 0; i < plan.hot_w.panel_tiles.size(); ++i) {
-        HotTask ht;
-        ht.panel = plan.hot_w.panel_ids[i];
-        ht.work = i;
-        ht.unit0 = unit;
-        for (size_t tid : plan.hot_w.panel_tiles[i])
+    hot_tasks.reserve(hot.panel_tiles.size());
+    size_t nnz = 0;
+    for (size_t i = 0; i < hot.panel_tiles.size(); ++i) {
+        PanelTask ht;
+        ht.panel = hot.panel_ids[i];
+        checkPanel("hot", ht.panel, i, i ? hot.panel_ids[i - 1] : 0);
+        ht.tiles = hot.panel_tiles[i].size();
+        ht.unit0 = plan.hot_tiles;
+        const auto [tb, te] = grid.panelTiles(ht.panel);
+        size_t next = tb;
+        for (size_t tid : hot.panel_tiles[i]) {
+            HT_FATAL_IF(tid < next || tid >= te, "native exec: hot work "
+                        "lists tile ", tid, " out of order or outside panel ",
+                        ht.panel, "'s tiles [", tb, ", ", te, ")");
+            HT_FATAL_IF(!p.is_hot[tid], "native exec: hot work lists tile ",
+                        tid, ", which the partition assigns cold");
             ht.nnz += grid.tile(tid).nnz;
-        unit += plan.hot_w.panel_tiles[i].size();
-        plan.hot_tasks.push_back(std::move(ht));
+            next = tid + 1;
+        }
+        plan.hot_tiles += ht.tiles;
+        nnz += ht.nnz;
+        hot_tasks.push_back(ht);
     }
-    plan.hot_tiles = unit;
 
-    plan.cold_tasks.reserve(plan.cold_w.panels.size());
-    for (size_t i = 0; i < plan.cold_w.panels.size(); ++i) {
-        const PanelWork& pw = plan.cold_w.panels[i];
-        ColdTask ct;
+    cold_tasks.reserve(cold.panels.size());
+    for (size_t i = 0; i < cold.panels.size(); ++i) {
+        const PanelWork& pw = cold.panels[i];
+        checkPanel("cold", pw.panel, i, i ? cold.panels[i - 1].panel : 0);
+        PanelTask ct;
         ct.panel = pw.panel;
-        ct.work = i;
         ct.nnz = pw.cols.size();
+        size_t tiles_nnz = 0;
         auto [tb, te] = grid.panelTiles(pw.panel);
         for (size_t t = tb; t < te; ++t)
-            if (!p.is_hot[t])
+            if (!p.is_hot[t]) {
                 ++ct.tiles;
-        plan.cold_tiles += ct.tiles;
-        plan.cold_tasks.push_back(ct);
+                tiles_nnz += grid.tile(t).nnz;
+            }
+        const Index height = panelRows(grid, pw.panel).second;
+        HT_FATAL_IF(pw.row_ptr.size() != size_t(height) + 1 ||
+                        pw.row_ptr.front() != 0 ||
+                        pw.row_ptr.back() != ct.nnz ||
+                        pw.vals.size() != ct.nnz || ct.nnz != tiles_nnz,
+                    "native exec: cold panel ", pw.panel, " is not a ",
+                    height, "-row CSR of its cold tiles' ", tiles_nnz,
+                    " nonzeros");
+        nnz += ct.nnz;
+        cold_tasks.push_back(ct);
     }
+    HT_FATAL_IF(nnz != grid.matrixNnz(), "native exec: the formats hold ",
+                nnz, " nonzeros but the grid has ", grid.matrixNnz());
 
     // Both task lists ascend by panel; a panel in both is a join.
-    for (size_t h = 0, c = 0;
-         h < plan.hot_tasks.size() && c < plan.cold_tasks.size();) {
-        HotTask& ht = plan.hot_tasks[h];
-        ColdTask& ct = plan.cold_tasks[c];
+    for (size_t h = 0, c = 0; h < hot_tasks.size() && c < cold_tasks.size();) {
+        PanelTask& ht = hot_tasks[h];
+        PanelTask& ct = cold_tasks[c];
         if (ht.panel < ct.panel) {
             ++h;
         } else if (ct.panel < ht.panel) {
@@ -217,8 +247,8 @@ ExecPlan preparePlan(const TileGrid& grid, const Partition& p)
 unsigned splitSlots(unsigned threads, const ExecPlan& plan,
                     const NativeExecOptions& opts)
 {
-    const bool has_hot = !plan.hot_tasks.empty();
-    const bool has_cold = !plan.cold_tasks.empty();
+    const bool has_hot = !plan.tasks[0].empty();
+    const bool has_cold = !plan.tasks[1].empty();
     if (!has_hot)
         return 0;
     if (!has_cold || threads == 1)
@@ -332,8 +362,9 @@ void finishJoin(const RunContext<Acc>& rc, Acc*& buf, uint32_t join,
 }
 
 template <class Acc>
-void runHotTask(const RunContext<Acc>& rc, Acc*& buf, const HotTask& ht)
+void runHotTask(const RunContext<Acc>& rc, Acc*& buf, size_t task_idx)
 {
+    const PanelTask& ht = rc.plan->tasks[0][task_idx];
     const TileGrid& grid = *rc.grid;
     const auto [row0, height] = panelRows(grid, ht.panel);
     const size_t n = size_t(height) * rc.k;
@@ -346,7 +377,7 @@ void runHotTask(const RunContext<Acc>& rc, Acc*& buf, const HotTask& ht)
     else
         part = o;
     size_t unit = ht.unit0;
-    for (size_t tid : rc.plan->hot_w.panel_tiles[ht.work]) {
+    for (size_t tid : rc.plan->hot_w.panel_tiles[task_idx]) {
         const double t0 = rc.collect ? monotonicSeconds() : 0;
         const Tile& tl = grid.tile(tid);
         const CooView v{grid.tileRows(tid).data(), grid.tileCols(tid).data(),
@@ -366,11 +397,11 @@ void runHotTask(const RunContext<Acc>& rc, Acc*& buf, const HotTask& ht)
 }
 
 template <class Acc>
-void runColdTask(const RunContext<Acc>& rc, Acc*& buf, const ColdTask& ct,
-                 size_t task_idx)
+void runColdTask(const RunContext<Acc>& rc, Acc*& buf, size_t task_idx)
 {
+    const PanelTask& ct = rc.plan->tasks[1][task_idx];
     const auto [row0, height] = panelRows(*rc.grid, ct.panel);
-    const PanelWork& pw = rc.plan->cold_w.panels[ct.work];
+    const PanelWork& pw = rc.plan->cold_w.panels[task_idx];
     const CsrView cv{pw.row_ptr.data(), pw.cols.data(), pw.vals.data(),
                      height};
     const size_t n = size_t(height) * rc.k;
@@ -402,21 +433,21 @@ class NativeCpuBackend final : public ExecutionBackend
   public:
     explicit NativeCpuBackend(const NativeExecOptions& opts) : opts_(opts) {}
 
-    const char* name() const override { return "native-cpu"; }
-
     DenseMatrix run(const TileGrid& grid, const Partition& p,
+                    const TiledWork& hot, const UntiledWork& cold,
                     const KernelConfig& kernel, const DenseMatrix& din,
                     ExecReport* report) override
     {
         validate(grid, p, kernel, din);
         return opts_.policy == Policy::Golden
-                   ? runAs<double>(grid, p, kernel, din, report)
-                   : runAs<Value>(grid, p, kernel, din, report);
+                   ? runAs<double>(grid, p, hot, cold, kernel, din, report)
+                   : runAs<Value>(grid, p, hot, cold, kernel, din, report);
     }
 
   private:
     template <class Acc>
     DenseMatrix runAs(const TileGrid& grid, const Partition& p,
+                      const TiledWork& hot, const UntiledWork& cold,
                       const KernelConfig& kernel, const DenseMatrix& din,
                       ExecReport* report);
 
@@ -425,6 +456,8 @@ class NativeCpuBackend final : public ExecutionBackend
 
 template <class Acc>
 DenseMatrix NativeCpuBackend::runAs(const TileGrid& grid, const Partition& p,
+                                    const TiledWork& hot,
+                                    const UntiledWork& cold,
                                     const KernelConfig& kernel,
                                     const DenseMatrix& din,
                                     ExecReport* report)
@@ -433,7 +466,7 @@ DenseMatrix NativeCpuBackend::runAs(const TileGrid& grid, const Partition& p,
     reg.counter("exec.native.runs").add(1);
 
     const double prep0 = monotonicSeconds();
-    const ExecPlan plan = preparePlan(grid, p);
+    const ExecPlan plan = preparePlan(grid, p, hot, cold);
 
     const Index rows = grid.matrixRows();
     const Index k = kernel.k;
@@ -459,7 +492,7 @@ DenseMatrix NativeCpuBackend::runAs(const TileGrid& grid, const Partition& p,
     rc.din = rows ? din.row(0) : nullptr;
     rc.collect = opts_.collect_unit_times;
     std::vector<UnitTime> hot_units(rc.collect ? plan.hot_tiles : 0);
-    std::vector<UnitTime> cold_units(rc.collect ? plan.cold_tasks.size() : 0);
+    std::vector<UnitTime> cold_units(rc.collect ? plan.tasks[1].size() : 0);
     rc.hot_units = hot_units.data();
     rc.cold_units = cold_units.data();
     rc.spares = buffers.data() + size_t(T) * stride;
@@ -471,14 +504,13 @@ DenseMatrix NativeCpuBackend::runAs(const TileGrid& grid, const Partition& p,
     // queues regardless of the stealing knob: stealing is a tail
     // policy, not a correctness switch.
     const bool serve_both =
-        T == 1 || (hot_slots == 0 && !plan.hot_tasks.empty()) ||
-        (hot_slots == T && !plan.cold_tasks.empty());
+        T == 1 || (hot_slots == 0 && !plan.tasks[0].empty()) ||
+        (hot_slots == T && !plan.tasks[1].empty());
 
     TaskQueue queues[2];
-    for (uint32_t i = 0; i < plan.hot_tasks.size(); ++i)
-        queues[0].push({0, i});
-    for (uint32_t i = 0; i < plan.cold_tasks.size(); ++i)
-        queues[1].push({1, i});
+    for (uint8_t c = 0; c < 2; ++c)
+        for (uint32_t i = 0; i < plan.tasks[c].size(); ++i)
+            queues[c].push({c, i});
 
     FaultState fault;
     fault.fail_class = opts_.fail_class;
@@ -527,25 +559,18 @@ DenseMatrix NativeCpuBackend::runAs(const TileGrid& grid, const Partition& p,
                     break;
                 const double t0 = monotonicSeconds();
                 if (t.cls == 0)
-                    runHotTask(rc, slot_bufs[slot], plan.hot_tasks[t.idx]);
+                    runHotTask(rc, slot_bufs[slot], t.idx);
                 else
-                    runColdTask(rc, slot_bufs[slot], plan.cold_tasks[t.idx],
-                                t.idx);
+                    runColdTask(rc, slot_bufs[slot], t.idx);
                 const double dt = monotonicSeconds() - t0;
+                const PanelTask& pt = plan.tasks[t.cls][t.idx];
                 SlotClassStats& cs = st.cls[t.cls];
                 ++cs.tasks;
                 cs.busy_s += dt;
+                cs.tiles += pt.tiles;
+                cs.nnz += pt.nnz;
                 if (t.cls != my)
                     ++cs.stolen;
-                if (t.cls == 0) {
-                    const HotTask& ht = plan.hot_tasks[t.idx];
-                    cs.tiles += plan.hot_w.panel_tiles[ht.work].size();
-                    cs.nnz += ht.nnz;
-                } else {
-                    const ColdTask& ct = plan.cold_tasks[t.idx];
-                    cs.tiles += ct.tiles;
-                    cs.nnz += ct.nnz;
-                }
                 if (from_own && my == fault.fail_class)
                     fault.own_done.fetch_add(1, std::memory_order_relaxed);
             }
@@ -593,6 +618,21 @@ DenseMatrix NativeCpuBackend::runAs(const TileGrid& grid, const Partition& p,
 
 } // namespace
 
+DenseMatrix ExecutionBackend::run(const TileGrid& grid, const Partition& p,
+                                  const KernelConfig& kernel,
+                                  const DenseMatrix& din, ExecReport* report)
+{
+    validate(grid, p, kernel, din);
+    const double t0 = monotonicSeconds();
+    const TiledWork hot = buildTiledWork(grid, p.hotTiles());
+    const UntiledWork cold = buildUntiledWork(grid, p.coldTiles());
+    const double build_s = monotonicSeconds() - t0;
+    DenseMatrix out = run(grid, p, hot, cold, kernel, din, report);
+    if (report)
+        report->prepare_s += build_s;
+    return out;
+}
+
 std::unique_ptr<ExecutionBackend> makeNativeCpuBackend(
     const NativeExecOptions& opts)
 {
@@ -604,7 +644,8 @@ DenseMatrix referenceExecute(const TileGrid& grid, const Partition& p,
                              const DenseMatrix& din)
 {
     validate(grid, p, kernel, din);
-    const ExecPlan plan = preparePlan(grid, p);
+    const TiledWork hot = buildTiledWork(grid, p.hotTiles());
+    const UntiledWork cold = buildUntiledWork(grid, p.coldTiles());
     const KernelOps& ops = kernels::opsForTier(kernels::Tier::Scalar);
     const Index rows = grid.matrixRows();
     const Index k = kernel.k;
@@ -613,16 +654,15 @@ DenseMatrix referenceExecute(const TileGrid& grid, const Partition& p,
 
     std::vector<double> hot_acc(cells, 0.0);
     std::vector<double> cold_acc(cells, 0.0);
-    for (const HotTask& ht : plan.hot_tasks)
-        for (size_t tid : plan.hot_w.panel_tiles[ht.work]) {
+    for (const std::vector<size_t>& tiles : hot.panel_tiles)
+        for (size_t tid : tiles) {
             const CooView v{grid.tileRows(tid).data(),
                             grid.tileCols(tid).data(),
                             grid.tileVals(tid).data(), grid.tile(tid).nnz};
             ops.spmm_coo_golden(v, k, din_p, hot_acc.data(), 0, 0, v.nnz);
         }
-    for (const ColdTask& ct : plan.cold_tasks) {
-        const PanelWork& pw = plan.cold_w.panels[ct.work];
-        const auto [row0, height] = panelRows(grid, ct.panel);
+    for (const PanelWork& pw : cold.panels) {
+        const auto [row0, height] = panelRows(grid, pw.panel);
         const CsrView cv{pw.row_ptr.data(), pw.cols.data(), pw.vals.data(),
                          height};
         ops.spmm_csr_golden_acc(cv, k, din_p,

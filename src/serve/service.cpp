@@ -45,12 +45,6 @@ struct TransientBuildFailure
 {
 };
 
-double
-nowSeconds()
-{
-    return monotonicSeconds();
-}
-
 /** Per-request chaos decisions, all drawn up front from one stream so
  *  they depend only on (chaos.seed, request id) — never on thread
  *  interleaving. */
@@ -189,7 +183,6 @@ struct PlanService::SessionState
 {
     std::shared_mutex mu;
     std::string arch_spec;
-    std::shared_ptr<const Architecture> arch;
     std::unique_ptr<HotTiles> ht;
     FingerprintAccumulator acc;
     KernelConfig kernel;
@@ -207,6 +200,75 @@ struct PlanService::CoalesceGroup
         ReplyCallback cb;
     };
     std::vector<Joiner> joiners;
+};
+
+/** One request's clock, deadline, chaos draws and reply.  Construction
+ *  arms the watchdog with the whole deadline; done() disarms it. */
+struct PlanService::RequestScope
+{
+    PlanService& svc;
+    FlightSlot& slot;
+    const ServeRequest& req;
+    const double start = monotonicSeconds();
+    const double deadline_s =
+        start + (req.deadline_ms > 0 ? req.deadline_ms
+                                     : svc.cfg_.default_deadline_ms) /
+                    1e3;
+    const ChaosPlan chaos{svc.cfg_.chaos, req.id};
+    ServeReply reply;
+
+    RequestScope(PlanService& s, FlightSlot& f, const ServeRequest& r)
+        : svc(s), slot(f), req(r)
+    {
+        reply.id = r.id;
+        arm(deadline_s);
+    }
+
+    double remaining() const { return deadline_s - monotonicSeconds(); }
+
+    /** Arm the watchdog for a stage that must end by @p stage_deadline. */
+    void arm(double stage_deadline)
+    {
+        slot.cancelled.store(false, std::memory_order_relaxed);
+        slot.stage_deadline_s.store(stage_deadline, std::memory_order_relaxed);
+        slot.active.store(true, std::memory_order_release);
+    }
+
+    ServeReply done(ServeStatus status, const char* detail)
+    {
+        slot.active.store(false, std::memory_order_release);
+        reply.status = status;
+        if (detail)
+            reply.detail = detail;
+        reply.latency_ms = (monotonicSeconds() - start) * 1e3;
+        svc.traceTransition(serveStatusName(status), req.id);
+        return reply;
+    }
+
+    /** The one native Run: Din from the request seed, a Golden run of
+     *  the formats under the chaos fail-stop, the output checksum. */
+    void execute(const TileGrid& grid, const Partition& part,
+                 const TiledWork& hot, const UntiledWork& cold,
+                 double hot_share_hint)
+    {
+        exec::NativeExecOptions eo;
+        eo.policy = kernels::Policy::Golden;
+        eo.hot_share_hint = hot_share_hint;
+        eo.collect_unit_times = false;
+        if (chaos.fail_class >= 0) {
+            eo.fail_class = chaos.fail_class;
+            eo.fail_after_tasks = chaos.fail_after;
+            svc.traceTransition("chaos.kill_class", req.id);
+        }
+        DenseMatrix din(grid.matrixCols(), req.kernel.k);
+        Rng value_rng(req.seed);
+        din.fillRandom(value_rng);
+        exec::ExecReport report;
+        DenseMatrix out = exec::makeNativeCpuBackend(eo)->run(
+            grid, part, hot, cold, req.kernel, din, &report);
+        reply.checksum = denseChecksum(out);
+        reply.exec_class_failed = report.class_failed;
+    }
 };
 
 const char*
@@ -445,7 +507,7 @@ PlanService::watchdogLoop()
     auto period = std::chrono::duration<double, std::milli>(
         std::max(cfg_.watchdog_period_ms, 0.05));
     while (!watchdog_stop_.load(std::memory_order_relaxed)) {
-        double now = nowSeconds();
+        double now = monotonicSeconds();
         for (auto& f : flights_) {
             if (!f->active.load(std::memory_order_acquire))
                 continue;
@@ -595,60 +657,37 @@ PlanService::traceTransition(const char* event, uint64_t id)
 {
     if (!cfg_.trace)
         return;
-    Tick tick = static_cast<Tick>(nowSeconds() * 1e6);
+    Tick tick = static_cast<Tick>(monotonicSeconds() * 1e6);
     cfg_.trace->record(tick, "serve", event, id);
 }
 
 ServeReply
 PlanService::handle(const ServeRequest& req, FlightSlot& slot)
 {
+    RequestScope rq(*this, slot, req);
     if (req.mode == RequestMode::Delta)
-        return handleDelta(req, slot);
+        return handleDelta(rq);
     if (!req.session.empty())
-        return handleSession(req, slot);
+        return handleSession(rq);
 
-    ServeReply reply;
-    reply.id = req.id;
-
-    const double start = nowSeconds();
-    const double deadline_ms =
-        req.deadline_ms > 0 ? req.deadline_ms : cfg_.default_deadline_ms;
-    const double deadline_s = start + deadline_ms / 1e3;
-    auto remaining = [&] { return deadline_s - nowSeconds(); };
-    auto arm = [&](double stage_deadline) {
-        slot.cancelled.store(false, std::memory_order_relaxed);
-        slot.stage_deadline_s.store(stage_deadline,
-                                    std::memory_order_relaxed);
-        slot.active.store(true, std::memory_order_release);
-    };
-    auto disarm = [&] { slot.active.store(false, std::memory_order_release); };
-    auto done = [&](ServeStatus status, const char* detail) {
-        disarm();
-        reply.status = status;
-        if (detail)
-            reply.detail = detail;
-        reply.latency_ms = (nowSeconds() - start) * 1e3;
-        traceTransition(serveStatusName(status), req.id);
-        return reply;
-    };
-
-    const ChaosPlan chaos(cfg_.chaos, req.id);
+    ServeReply& reply = rq.reply;
+    const double deadline_s = rq.deadline_s;
+    const ChaosPlan& chaos = rq.chaos;
     uint64_t jitter_seed = req.id * 0x2545f4914f6cdd1dULL + 0x9e37ULL;
     Rng jitter_rng(splitmix64(jitter_seed));
 
     // --- Resolve inputs (bounded work; whole-deadline budget). ---
-    arm(deadline_s);
     std::shared_ptr<const CooMatrix> matrix;
     std::shared_ptr<const Architecture> arch;
     try {
         matrix = resolveMatrix(req);
         arch = resolveArch(req.arch);
     } catch (const FatalError&) {
-        return done(ServeStatus::Error, "bad-input");
+        return rq.done(ServeStatus::Error, "bad-input");
     }
     if (req.mode == RequestMode::Run &&
         req.kernel.kind == SparseKernel::Sddmm)
-        return done(ServeStatus::Error, "sddmm-not-executable");
+        return rq.done(ServeStatus::Error, "sddmm-not-executable");
 
     const PlanKey key = makePlanKey(*matrix, req.arch, arch->tile_height,
                                     arch->tile_width, req.kernel);
@@ -668,7 +707,7 @@ PlanService::handle(const ServeRequest& req, FlightSlot& slot)
 
     while (!plan && !degrade_reason) {
         if (slot.cancelled.load(std::memory_order_relaxed) ||
-            remaining() <= 0) {
+            rq.remaining() <= 0) {
             degrade_reason = "deadline";
             break;
         }
@@ -676,12 +715,12 @@ PlanService::handle(const ServeRequest& req, FlightSlot& slot)
         // held-back remainder funds the degraded fallback after a trip.
         // One clock read: at a fraction of 1 the stage deadline is the
         // request deadline exactly, so a trip always finds it expired.
-        const double now = nowSeconds();
-        arm(deadline_s -
-            (1 - cfg_.plan_budget_fraction) * (deadline_s - now));
+        const double now = monotonicSeconds();
+        rq.arm(deadline_s -
+               (1 - cfg_.plan_budget_fraction) * (deadline_s - now));
 
         auto builder = [&]() -> CachedPlan {
-            if (remaining() * 1e3 < cfg_.fresh_floor_ms)
+            if (rq.remaining() * 1e3 < cfg_.fresh_floor_ms)
                 throw BuildCancelled{"deadline-pressure"};
             if (flaky_pending) {
                 flaky_pending = false;
@@ -722,14 +761,14 @@ PlanService::handle(const ServeRequest& req, FlightSlot& slot)
             double backoff_ms = cfg_.backoff_base_ms *
                                 double(1u << reply.retries) *
                                 (0.5 + jitter_rng.nextDouble());
-            backoff_ms = std::min(backoff_ms, remaining() * 1e3);
+            backoff_ms = std::min(backoff_ms, rq.remaining() * 1e3);
             if (backoff_ms > 0)
                 std::this_thread::sleep_for(
                     std::chrono::duration<double, std::milli>(backoff_ms));
         } catch (const BuildCancelled& c) {
             degrade_reason = c.reason;
         } catch (const FatalError&) {
-            return done(ServeStatus::Error, "build-failed");
+            return rq.done(ServeStatus::Error, "build-failed");
         }
     }
 
@@ -751,27 +790,27 @@ PlanService::handle(const ServeRequest& req, FlightSlot& slot)
     if (req.mode == RequestMode::Plan) {
         if (plan) {
             reply.checksum = plan->checksum;
-            return done(ServeStatus::Ok, nullptr);
+            return rq.done(ServeStatus::Ok, nullptr);
         }
-        if (remaining() <= 0)
-            return done(ServeStatus::Timeout, degrade_reason);
+        if (rq.remaining() <= 0)
+            return rq.done(ServeStatus::Timeout, degrade_reason);
         // Degraded plan-mode reply: the fallback needs the tile count,
         // which costs one scan.
-        arm(deadline_s);
+        rq.arm(deadline_s);
         TileGrid grid(*matrix, arch->tile_height, arch->tile_width);
         CachedPlan degraded;
         degraded.is_hot.assign(grid.numTiles(), 0);
         degraded.heuristic = "degraded-cold";
         degraded.checksum = degraded.payloadChecksum();
         reply.checksum = degraded.checksum;
-        return done(ServeStatus::Degraded, degrade_reason);
+        return rq.done(ServeStatus::Degraded, degrade_reason);
     }
 
     // --- Run mode: scan (values needed regardless of cache) + execute. ---
-    if (remaining() <= 0)
-        return done(ServeStatus::Timeout,
-                    degrade_reason ? degrade_reason : "deadline");
-    arm(deadline_s);
+    if (rq.remaining() <= 0)
+        return rq.done(ServeStatus::Timeout,
+                       degrade_reason ? degrade_reason : "deadline");
+    rq.arm(deadline_s);
     try {
         TileGrid grid(*matrix, arch->tile_height, arch->tile_width);
         Partition part;
@@ -792,63 +831,20 @@ PlanService::handle(const ServeRequest& req, FlightSlot& slot)
         }
         if (!plan)
             part = degradedColdPartition(grid.numTiles());
-
-        exec::NativeExecOptions eo;
-        eo.policy = kernels::Policy::Golden;
-        eo.hot_share_hint = plan ? plan->hot_share_hint : 0;
-        eo.collect_unit_times = false;
-        if (chaos.fail_class >= 0) {
-            eo.fail_class = chaos.fail_class;
-            eo.fail_after_tasks = chaos.fail_after;
-            traceTransition("chaos.kill_class", req.id);
-        }
-
-        DenseMatrix din(grid.matrixCols(), req.kernel.k);
-        Rng value_rng(req.seed);
-        din.fillRandom(value_rng);
-
-        exec::ExecReport report;
-        auto backend = exec::makeNativeCpuBackend(eo);
-        DenseMatrix out =
-            backend->run(grid, part, req.kernel, din, &report);
-        reply.checksum = denseChecksum(out);
-        reply.exec_class_failed = report.class_failed;
-        return done(plan ? ServeStatus::Ok : ServeStatus::Degraded,
-                    degrade_reason);
+        const TiledWork hot = buildTiledWork(grid, part.hotTiles());
+        const UntiledWork cold = buildUntiledWork(grid, part.coldTiles());
+        rq.execute(grid, part, hot, cold, plan ? plan->hot_share_hint : 0);
+        return rq.done(plan ? ServeStatus::Ok : ServeStatus::Degraded,
+                       degrade_reason);
     } catch (const FatalError&) {
-        return done(ServeStatus::Error, "exec-failed");
+        return rq.done(ServeStatus::Error, "exec-failed");
     }
 }
 
 ServeReply
-PlanService::handleSession(const ServeRequest& req, FlightSlot& slot)
+PlanService::handleSession(RequestScope& rq)
 {
-    ServeReply reply;
-    reply.id = req.id;
-
-    const double start = nowSeconds();
-    const double deadline_ms =
-        req.deadline_ms > 0 ? req.deadline_ms : cfg_.default_deadline_ms;
-    const double deadline_s = start + deadline_ms / 1e3;
-    auto remaining = [&] { return deadline_s - nowSeconds(); };
-    auto arm = [&](double stage_deadline) {
-        slot.cancelled.store(false, std::memory_order_relaxed);
-        slot.stage_deadline_s.store(stage_deadline,
-                                    std::memory_order_relaxed);
-        slot.active.store(true, std::memory_order_release);
-    };
-    auto done = [&](ServeStatus status, const char* detail) {
-        slot.active.store(false, std::memory_order_release);
-        reply.status = status;
-        if (detail)
-            reply.detail = detail;
-        reply.latency_ms = (nowSeconds() - start) * 1e3;
-        traceTransition(serveStatusName(status), req.id);
-        return reply;
-    };
-
-    arm(deadline_s);
-
+    const ServeRequest& req = rq.req;
     const std::string skey = sessionMapKey(req.tenant, req.session);
     std::shared_ptr<SessionState> s;
     bool create = false;
@@ -860,7 +856,7 @@ PlanService::handleSession(const ServeRequest& req, FlightSlot& slot)
         } else {
             if (cfg_.max_sessions == 0 ||
                 sessions_.size() >= cfg_.max_sessions)
-                return done(ServeStatus::Error, "session-limit");
+                return rq.done(ServeStatus::Error, "session-limit");
             s = std::make_shared<SessionState>();
             sessions_.emplace(skey, s);
             create = true;
@@ -881,7 +877,6 @@ PlanService::handleSession(const ServeRequest& req, FlightSlot& slot)
             std::shared_ptr<const Architecture> arch = resolveArch(req.arch);
             HotTilesOptions opts;
             opts.kernel = req.kernel;
-            opts.build_formats = cfg_.session_formats;
             // The hook outlives this frame (applyDelta fires it on every
             // later delta), so it must not capture frame locals: the
             // thread-local flight slot is whichever request is running.
@@ -894,7 +889,6 @@ PlanService::handleSession(const ServeRequest& req, FlightSlot& slot)
             s->acc = FingerprintAccumulator(*matrix, arch->tile_height,
                                             arch->tile_width);
             s->arch_spec = req.arch;
-            s->arch = arch;
             s->kernel = req.kernel;
             s->key = makePlanKey(s->acc.fingerprint(), req.arch,
                                  arch->tile_height, arch->tile_width,
@@ -908,89 +902,52 @@ PlanService::handleSession(const ServeRequest& req, FlightSlot& slot)
         } catch (const BuildCancelled& c) {
             s->ht.reset();
             evict();
-            return done(ServeStatus::Timeout, c.reason);
+            return rq.done(ServeStatus::Timeout, c.reason);
         } catch (const FatalError&) {
             s->ht.reset();
             evict();
-            return done(ServeStatus::Error, "bad-input");
+            return rq.done(ServeStatus::Error, "bad-input");
         }
     }
 
     std::shared_lock<std::shared_mutex> rlock(s->mu);
     if (!s->ht)  // a concurrent creator failed and evicted the session
-        return done(ServeStatus::Error, "no-session");
+        return rq.done(ServeStatus::Error, "no-session");
     if (req.arch != s->arch_spec)
-        return done(ServeStatus::Error, "session-arch-mismatch");
+        return rq.done(ServeStatus::Error, "session-arch-mismatch");
     if (!sameKernel(req.kernel, s->kernel))
-        return done(ServeStatus::Error, "session-kernel-mismatch");
+        return rq.done(ServeStatus::Error, "session-kernel-mismatch");
 
-    reply.plan_source = "session";
-    reply.predicted_cycles = s->plan->predicted_cycles;
+    rq.reply.plan_source = "session";
+    rq.reply.predicted_cycles = s->plan->predicted_cycles;
     if (req.mode == RequestMode::Plan) {
-        reply.checksum = s->plan->checksum;
-        return done(ServeStatus::Ok, nullptr);
+        rq.reply.checksum = s->plan->checksum;
+        return rq.done(ServeStatus::Ok, nullptr);
     }
 
-    // Run mode executes straight off the live grid + partition — no
-    // per-run rescan, which is the point of keeping the session hot.
+    // Run mode executes the live grid, partition and formats — no rescan
+    // or format build, which is the point of keeping the session hot.
     if (req.kernel.kind == SparseKernel::Sddmm)
-        return done(ServeStatus::Error, "sddmm-not-executable");
-    if (remaining() <= 0)
-        return done(ServeStatus::Timeout, "deadline");
-    arm(deadline_s);
-    const ChaosPlan chaos(cfg_.chaos, req.id);
+        return rq.done(ServeStatus::Error, "sddmm-not-executable");
+    if (rq.remaining() <= 0)
+        return rq.done(ServeStatus::Timeout, "deadline");
+    rq.arm(rq.deadline_s);
     try {
-        exec::NativeExecOptions eo;
-        eo.policy = kernels::Policy::Golden;
-        eo.hot_share_hint = s->plan->hot_share_hint;
-        eo.collect_unit_times = false;
-        if (chaos.fail_class >= 0) {
-            eo.fail_class = chaos.fail_class;
-            eo.fail_after_tasks = chaos.fail_after;
-            traceTransition("chaos.kill_class", req.id);
-        }
-        const TileGrid& grid = s->ht->grid();
-        DenseMatrix din(grid.matrixCols(), req.kernel.k);
-        Rng value_rng(req.seed);
-        din.fillRandom(value_rng);
-        exec::ExecReport report;
-        auto backend = exec::makeNativeCpuBackend(eo);
-        DenseMatrix out = backend->run(grid, s->ht->partition(), req.kernel,
-                                       din, &report);
-        reply.checksum = denseChecksum(out);
-        reply.exec_class_failed = report.class_failed;
-        return done(ServeStatus::Ok, nullptr);
+        const HotTiles& ht = *s->ht;
+        rq.execute(ht.grid(), ht.partition(), ht.hotFormat(),
+                   ht.coldFormat(), s->plan->hot_share_hint);
+        return rq.done(ServeStatus::Ok, nullptr);
     } catch (const FatalError&) {
-        return done(ServeStatus::Error, "exec-failed");
+        return rq.done(ServeStatus::Error, "exec-failed");
     }
 }
 
 ServeReply
-PlanService::handleDelta(const ServeRequest& req, FlightSlot& slot)
+PlanService::handleDelta(RequestScope& rq)
 {
-    ServeReply reply;
-    reply.id = req.id;
-
-    const double start = nowSeconds();
-    const double deadline_ms =
-        req.deadline_ms > 0 ? req.deadline_ms : cfg_.default_deadline_ms;
-    const double deadline_s = start + deadline_ms / 1e3;
-    auto remaining = [&] { return deadline_s - nowSeconds(); };
-    auto done = [&](ServeStatus status, const char* detail) {
-        slot.active.store(false, std::memory_order_release);
-        reply.status = status;
-        if (detail)
-            reply.detail = detail;
-        reply.latency_ms = (nowSeconds() - start) * 1e3;
-        traceTransition(serveStatusName(status), req.id);
-        return reply;
-    };
-    slot.cancelled.store(false, std::memory_order_relaxed);
-    slot.stage_deadline_s.store(deadline_s, std::memory_order_relaxed);
-    slot.active.store(true, std::memory_order_release);
-
+    const ServeRequest& req = rq.req;
     if (!req.delta)
-        return done(ServeStatus::Error, "bad-delta");
+        return rq.done(ServeStatus::Error, "bad-delta");
     std::shared_ptr<SessionState> s;
     {
         std::lock_guard<std::mutex> lock(sessions_mu_);
@@ -999,13 +956,13 @@ PlanService::handleDelta(const ServeRequest& req, FlightSlot& slot)
             s = it->second;
     }
     if (!s)
-        return done(ServeStatus::Error, "no-session");
+        return rq.done(ServeStatus::Error, "no-session");
 
     std::unique_lock<std::shared_mutex> wlock(s->mu);
     if (!s->ht)
-        return done(ServeStatus::Error, "no-session");
-    if (remaining() <= 0)
-        return done(ServeStatus::Timeout, "deadline");
+        return rq.done(ServeStatus::Error, "no-session");
+    if (rq.remaining() <= 0)
+        return rq.done(ServeStatus::Timeout, "deadline");
 
     const DeltaFrame& frame = *req.delta;
     if (!frame.batch.empty()) {
@@ -1016,9 +973,9 @@ PlanService::handleDelta(const ServeRequest& req, FlightSlot& slot)
         try {
             s->ht->applyDelta(frame.batch);
         } catch (const BuildCancelled& c) {
-            return done(ServeStatus::Timeout, c.reason);  // unmodified
+            return rq.done(ServeStatus::Timeout, c.reason);  // unmodified
         } catch (const FatalError&) {
-            return done(ServeStatus::Error, "bad-delta");  // unmodified
+            return rq.done(ServeStatus::Error, "bad-delta");  // unmodified
         }
         s->acc.applyDelta(frame.batch);
         s->key.fp = s->acc.fingerprint();
@@ -1029,7 +986,7 @@ PlanService::handleDelta(const ServeRequest& req, FlightSlot& slot)
         n_deltas_.fetch_add(1, std::memory_order_relaxed);
         MetricsRegistry::global().counter("serve.delta").add();
         traceTransition("session.delta", req.id);
-        reply.plan_source = "delta-patch";
+        rq.reply.plan_source = "delta-patch";
     }
     if (!frame.updates.empty()) {
         // Value-only fast path: straight to grid/format value patching;
@@ -1041,9 +998,9 @@ PlanService::handleDelta(const ServeRequest& req, FlightSlot& slot)
         try {
             s->ht->patchValues(frame.updates);
         } catch (const FatalError&) {
-            return done(ServeStatus::Error, frame.batch.empty()
-                                                ? "bad-values"
-                                                : "bad-values-after-delta");
+            return rq.done(ServeStatus::Error,
+                           frame.batch.empty() ? "bad-values"
+                                               : "bad-values-after-delta");
         }
         n_value_patches_.fetch_add(frame.updates.size(),
                                    std::memory_order_relaxed);
@@ -1052,13 +1009,13 @@ PlanService::handleDelta(const ServeRequest& req, FlightSlot& slot)
             .add(frame.updates.size());
         traceTransition("session.value_patch", req.id);
         if (frame.valueOnly())
-            reply.plan_source = "value-patch";
+            rq.reply.plan_source = "value-patch";
     }
     if (frame.empty())
-        reply.plan_source = "value-patch";  // no-op: nothing to patch
-    reply.predicted_cycles = s->plan->predicted_cycles;
-    reply.checksum = s->plan->checksum;
-    return done(ServeStatus::Ok, nullptr);
+        rq.reply.plan_source = "value-patch";  // no-op: nothing to patch
+    rq.reply.predicted_cycles = s->plan->predicted_cycles;
+    rq.reply.checksum = s->plan->checksum;
+    return rq.done(ServeStatus::Ok, nullptr);
 }
 
 } // namespace hottiles::serve

@@ -169,11 +169,6 @@ struct ServiceConfig
     /** Live per-tenant sessions the service will hold (0 = sessions
      *  disabled; session requests reply ERROR session-limit). */
     size_t max_sessions = 64;
-    /** Build worker formats for session state eagerly.  Costs the
-     *  format stage at session creation, but value-only deltas then
-     *  patch the formats too, and tests can compare sessions against
-     *  from-scratch builds with samePreprocessedState. */
-    bool session_formats = false;
     ChaosConfig chaos;
     TraceSink* trace = nullptr;     //!< optional transition trace sink
 };
@@ -261,6 +256,7 @@ class PlanService
   private:
     struct SessionState;
     struct CoalesceGroup;
+    struct RequestScope;
 
     struct FlightSlot
     {
@@ -273,8 +269,8 @@ class PlanService
     void workerLoop(unsigned slot_idx);
     void watchdogLoop();
     ServeReply handle(const ServeRequest& req, FlightSlot& slot);
-    ServeReply handleDelta(const ServeRequest& req, FlightSlot& slot);
-    ServeReply handleSession(const ServeRequest& req, FlightSlot& slot);
+    ServeReply handleDelta(RequestScope& rq);
+    ServeReply handleSession(RequestScope& rq);
     std::shared_ptr<const CooMatrix> resolveMatrix(const ServeRequest& req);
     std::shared_ptr<const Architecture> resolveArch(const std::string& spec);
     void finish(const ServeReply& reply);

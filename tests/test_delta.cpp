@@ -14,15 +14,18 @@
  *  - IncrementalPipeline: the property test — chained randomized
  *    insert/delete batches through HotTiles::applyDelta keep the grid,
  *    partition plan and SpMM output bit-identical to from-scratch
- *    preprocessing across {1, 2, 7} threads.
+ *    preprocessing across {1, 2, 7} threads, and a native run of the
+ *    patched worker formats equals the reference on the fresh build.
  *  - IncrementalPatchValues: the value-only fast path patches the tiled
- *    arrays and the cold format into the state of a fresh build.
+ *    arrays and the cold format into the state of a fresh build, and
+ *    the patched formats execute like it.
  *  - IncrementalFingerprint: chaining a delta through the
  *    FingerprintAccumulator equals re-fingerprinting the patched
  *    matrix, and structural changes never leave the fingerprint fixed.
  */
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -209,6 +212,21 @@ TEST(IncrementalTiling, DeleteOnlyShrinksInPlace)
 
 // --------------------------------------- whole-pipeline property test
 
+/** A Golden native run of @p ht's own worker formats — what a session
+ *  executes — must equal @p ref bit for bit. */
+void
+expectFormatsRunLike(const HotTiles& ht, const DenseMatrix& din,
+                     const DenseMatrix& ref)
+{
+    DenseMatrix out = exec::makeNativeCpuBackend()->run(
+        ht.grid(), ht.partition(), ht.hotFormat(), ht.coldFormat(),
+        ht.kernel(), din);
+    ASSERT_EQ(out.data().size(), ref.data().size());
+    EXPECT_EQ(std::memcmp(out.data().data(), ref.data().data(),
+                          out.data().size() * sizeof(Value)),
+              0);
+}
+
 /** Chained random deltas through HotTiles::applyDelta: the state and
  *  the SpMM output must stay bit-identical to from-scratch
  *  preprocessing at every step. */
@@ -251,6 +269,9 @@ runPipelineProperty(unsigned threads)
                               out_inc.data().size() * sizeof(Value)),
                   0)
             << "threads=" << threads << " round=" << round;
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " round=" + std::to_string(round));
+        expectFormatsRunLike(ht, din, out_fresh);
     }
     EXPECT_GT(ht.timing().update_s, 0.0);
     ThreadPool::setGlobalThreads(before);
@@ -344,6 +365,13 @@ TEST(IncrementalPatchValues, HotAndColdEntriesMatchRebuild)
     EXPECT_EQ(ht.patchValues(u), u.size());
     HotTiles fresh(arch, applyValueUpdatesToCoo(m, u), opts);
     EXPECT_TRUE(samePreprocessedState(ht, fresh));
+    DenseMatrix din(m.cols(), opts.kernel.k);
+    Rng rng(78);
+    din.fillRandom(rng);
+    expectFormatsRunLike(ht, din,
+                         exec::referenceExecute(fresh.grid(),
+                                                fresh.partition(),
+                                                fresh.kernel(), din));
 }
 
 // ------------------------------------------- fingerprint delta chain

@@ -14,6 +14,9 @@
  *    across value changes with bit-identical results against a
  *    from-scratch reference, watchdog-tripped wedges degrading cleanly,
  *    deadline timeouts, synchronous shedding.
+ *  - ServeDelta: sessions patched by structural and value deltas stay
+ *    bit-identical to from-scratch builds, and a session Run executes
+ *    the session's own worker formats without rebuilding them.
  *  - ServeChaos: a 16-client closed loop under full chaos (class
  *    kills, cache corruption, wedges, flaky builds): every request
  *    reaches a terminal state, successful replies stay bit-identical
@@ -32,6 +35,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -907,7 +911,6 @@ TEST(ServeDelta, SessionDeltaPatchesPlanBitIdentically)
     auto m = testMatrix(41);
     ServiceConfig cfg;
     cfg.workers = 1;
-    cfg.session_formats = true;
     PlanService service(cfg);
 
     ServeReply created = service.call(sessionPlan(m, 1, "s1"));
@@ -962,7 +965,6 @@ TEST(ServeDelta, ValueOnlyFastPathSkipsReplanning)
     auto m = testMatrix(42);
     ServiceConfig cfg;
     cfg.workers = 1;
-    cfg.session_formats = true;
     PlanService service(cfg);
     ASSERT_EQ(service.call(sessionPlan(m, 1, "v1")).status,
               ServeStatus::Ok);
@@ -1001,7 +1003,6 @@ TEST(ServeDelta, BadDeltaLeavesSessionUsable)
     auto m = testMatrix(43);
     ServiceConfig cfg;
     cfg.workers = 1;
-    cfg.session_formats = true;
     PlanService service(cfg);
     ASSERT_EQ(service.call(sessionPlan(m, 1, "b1")).status,
               ServeStatus::Ok);
@@ -1046,6 +1047,43 @@ TEST(ServeDelta, BadDeltaLeavesSessionUsable)
     k8.k = 8;
     EXPECT_EQ(run.checksum,
               expectedOkChecksum(applyDeltaToCoo(*m, good), k8, 9));
+    service.stop();
+}
+
+/** Builds of the two worker formats so far, process-wide. */
+std::pair<uint64_t, uint64_t>
+formatBuilds()
+{
+    MetricsRegistry& reg = MetricsRegistry::global();
+    return {reg.timer("format.tiled_build").snapshot().count(),
+            reg.timer("format.untiled_build").snapshot().count()};
+}
+
+TEST(ServeDelta, SessionRunExecutesTheSessionFormats)
+{
+    auto m = testMatrix(45);
+    ServiceConfig cfg;
+    cfg.workers = 1;
+    PlanService service(cfg);
+    ASSERT_EQ(service.call(sessionPlan(m, 1, "f1")).status,
+              ServeStatus::Ok);
+
+    // A session Run executes the formats its HotTiles built once.
+    const auto before = formatBuilds();
+    ServeReply run = service.call(sessionRun(2, "f1", 3));
+    ASSERT_EQ(run.status, ServeStatus::Ok);
+    EXPECT_EQ(formatBuilds(), before)
+        << "a session Run must not rebuild the worker formats";
+    KernelConfig k8;
+    k8.k = 8;
+    EXPECT_EQ(run.checksum, expectedOkChecksum(*m, k8, 3));
+
+    // The probe is live: a stateless Run builds both lists per request.
+    ServeReply stateless = service.call(runRequest(m, 4));
+    ASSERT_EQ(stateless.status, ServeStatus::Ok);
+    const auto after = formatBuilds();
+    EXPECT_GT(after.first, before.first);
+    EXPECT_GT(after.second, before.second);
     service.stop();
 }
 

@@ -20,10 +20,10 @@
  *
  *   hottiles run <matrix> --native [options]
  *       Execute the HotTiles partition plan for real on the host via
- *       the native CPU backend (docs/EXECUTION.md): hot tiles through
- *       the streaming SIMD kernels, cold panels through untiled CSR,
- *       verified against the golden reference and reporting per-class
- *       measured-vs-predicted model error.
+ *       the native CPU backend (docs/EXECUTION.md): the pipeline's worker
+ *       formats, hot tiles through the streaming SIMD kernels and cold
+ *       panels through untiled CSR, verified against the golden reference
+ *       and reporting per-class measured-vs-predicted model error.
  *
  *   hottiles serve [options]
  *       Long-lived partition-plan daemon (docs/SERVING.md): reads
@@ -35,8 +35,8 @@
  *       Incremental-update demonstration (docs/INCREMENTAL.md): apply
  *       random insert/delete batches through HotTiles::applyDelta,
  *       verify each result bit-identical against from-scratch
- *       preprocessing (plan, formats and SpMM output), and report the
- *       incremental-vs-rebuild cost per round.
+ *       preprocessing (plan, formats, and the patched formats' native
+ *       SpMM), and report the incremental-vs-rebuild cost per round.
  *
  *   hottiles convert <src> <dst.htb> [--panel-rows N]
  *       Convert a matrix to the panel-sorted `.htb` binary format
@@ -103,7 +103,6 @@
  *   --chaos-seed N       enable deterministic chaos mode (0 = off)
  *   --no-coalesce        disable in-flight Run request coalescing
  *   --max-sessions N     live delta sessions, 0 = off   (default 64)
- *   --session-formats    build session worker formats eagerly
  */
 
 #include <charconv>
@@ -195,7 +194,6 @@ struct Options
     uint32_t serve_max_retries = 2;
     bool serve_coalesce = true;
     uint64_t serve_max_sessions = 64;
-    bool serve_session_formats = false;
     uint64_t chaos_seed = 0;
 };
 
@@ -392,8 +390,6 @@ parseArgs(int argc, char** argv)
         else if (a == "--max-sessions")
             o.serve_max_sessions =
                 parseU64Arg(next("--max-sessions"), "--max-sessions");
-        else if (a == "--session-formats")
-            o.serve_session_formats = true;
         else if (a == "--updates") {
             o.updates = parseU64Arg(next("--updates"), "--updates");
             HT_FATAL_IF(o.updates == 0 || o.updates > 1024,
@@ -622,7 +618,6 @@ cmdSimulate(const Options& o)
     HotTilesOptions opts;
     opts.kernel = makeKernel(o);
     opts.iunaware_seed = o.seed;
-    opts.build_formats = false;
     if (o.verbose)
         std::cout << "host kernel tier: "
                   << kernels::tierName(kernels::activeTier())
@@ -769,7 +764,6 @@ cmdRun(const Options& o)
     HotTilesOptions opts;
     opts.kernel = makeKernel(o);
     opts.iunaware_seed = o.seed;
-    opts.build_formats = false;
     std::unique_ptr<HotTiles> ht_ptr = makeHotTiles(o, arch, opts);
     HotTiles& ht = *ht_ptr;
     const TileGrid& grid = ht.grid();
@@ -798,7 +792,8 @@ cmdRun(const Options& o)
               << policy << " kernels, tier "
               << kernels::tierName(kernels::activeTier()) << ")\n";
     exec::ExecReport rep;
-    DenseMatrix out = backend->run(grid, p, opts.kernel, din, &rep);
+    DenseMatrix out = backend->run(grid, p, ht.hotFormat(), ht.coldFormat(),
+                                   opts.kernel, din, &rep);
     if (o.corrupt_output && out.rows() > 0 && out.cols() > 0)
         out.at(0, 0) += Value(1);
 
@@ -854,10 +849,12 @@ cmdRun(const Options& o)
     row("hot", rep.hot_executors, rep.hot, hs);
     row("cold", rep.cold_executors, rep.cold, cs);
     t.print(std::cout);
-    std::cout << "wall " << Table::num(rep.wall_s * 1e3, 3) << " ms (+ "
-              << Table::num(rep.prepare_s * 1e3, 3) << " ms format build), "
-              << Table::num(rep.gflops, 2) << " GFLOP/s on " << rep.threads
-              << " threads\n"
+    const PreprocessTiming& pt = ht.timing();
+    std::cout << "wall " << Table::num(rep.wall_s * 1e3, 3)
+              << " ms (format stage, once in preprocessing: "
+              << Table::num((pt.format_base_s + pt.format_extra_s) * 1e3, 3)
+              << " ms), " << Table::num(rep.gflops, 2) << " GFLOP/s on "
+              << rep.threads << " threads\n"
               << "measured-vs-predicted sampled over " << hs.count
               << " hot tiles / " << cs.count
               << " cold panels (prediction_error.native.* histograms)\n";
@@ -886,7 +883,6 @@ cmdServe(const Options& o)
     cfg.max_retries = o.serve_max_retries;
     cfg.coalesce_runs = o.serve_coalesce;
     cfg.max_sessions = o.serve_max_sessions;
-    cfg.session_formats = o.serve_session_formats;
     cfg.chaos.seed = o.chaos_seed;
     TraceSinkHolder trace(o);  // --trace/--trace-json: ladder transitions
     cfg.trace = trace.sink;
@@ -951,8 +947,9 @@ cmdUpdate(const Options& o)
 
         bool identical = samePreprocessedState(ht, fresh);
         if (identical) {
-            DenseMatrix out_inc = exec::referenceExecute(
-                ht.grid(), ht.partition(), opts.kernel, din);
+            DenseMatrix out_inc = exec::makeNativeCpuBackend()->run(
+                ht.grid(), ht.partition(), ht.hotFormat(), ht.coldFormat(),
+                opts.kernel, din);
             DenseMatrix out_fresh = exec::referenceExecute(
                 fresh.grid(), fresh.partition(), opts.kernel, din);
             identical =
