@@ -10,7 +10,13 @@
  * Events/sec is measured over the event loop proper (SimStats::loop_ms,
  * the runUntilEmpty phase), not the whole simulateExecution call, so
  * format/segment building does not dilute the metric the event-core
- * work targets.  Whole-run wall time is reported alongside.
+ * work targets.  Those engine runs share one WorkListCache, so their
+ * wall time leaves out the setup.  Whole simulations are timed apart:
+ * per matrix, one runner interleaves the four strategies, each sample
+ * one simulateExecution on the calendar engine with a fresh
+ * WorkListCache, so it builds the work lists and the segments with the
+ * Din L1 replay.  The calendar row reports its `sim_ms` and
+ * `setup_ms` = sim_ms - loop_ms, both with quartiles.
  *
  * The throughput metric counts *retired* events — scheduler pops plus
  * completions that piggy-backed on a coalesced event (batched_events) —
@@ -34,6 +40,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <tuple>
@@ -139,8 +146,9 @@ main(int argc, char** argv)
     }
 
     bench::banner("bench_sim_perf", "perf trajectory",
-                  "Event-core throughput (events/sec) per strategy, "
-                  "calendar queue vs the legacy binary heap");
+                  "Whole-simulation wall time and event-core throughput "
+                  "(events/sec) per strategy, calendar queue vs the "
+                  "legacy binary heap");
 
     Architecture arch = calibrated(makeSpadeSextans(4));
     const std::pair<EventQueue::Impl, const char*> impls[] = {
@@ -152,8 +160,9 @@ main(int argc, char** argv)
     std::vector<Record> records;
     std::vector<bench::Row> results;
     GeoMean engine_speedup;
-    Table table({"Matrix", "Strategy", "Events", "Batched", "Calendar Mev/s",
-                 "Legacy Mev/s", "Engine speedup"});
+    Table table({"Matrix", "Strategy", "Events", "Batched", "Sim ms",
+                 "Setup ms", "Calendar Mev/s", "Legacy Mev/s",
+                 "Engine speedup"});
     for (const std::string& name : bench::tableVNames()) {
         const CooMatrix& m = bench::suiteMatrix(name);
         HotTilesOptions o;
@@ -177,7 +186,27 @@ main(int argc, char** argv)
             {"IUnaware", &iu.is_hot, iu.serial},
             {"HotTiles", &htp.is_hot, htp.serial},
         };
-        for (const Strat& s : strats) {
+        // Whole simulations, uncached: a fresh WorkListCache per run.
+        bench::Runner whole;
+        for (const Strat& s : strats)
+            whole.add([&, s] {
+                EventQueue::setDefaultImpl(EventQueue::Impl::Calendar);
+                WorkListCache fresh;
+                SimConfig cfg;
+                cfg.work_cache = &fresh;
+                double loop_ms = 0;
+                const bench::Budget b = bench::repeatFor(0, 1, [&] {
+                    loop_ms = simulateExecution(arch, ht.grid(), *s.is_hot,
+                                                s.serial, o.kernel, cfg)
+                                  .stats.loop_ms;
+                });
+                return bench::Sample{{"sim_ms", b.ms},
+                                     {"setup_ms", b.ms - loop_ms}};
+            });
+        whole.run();
+
+        for (size_t si = 0; si < std::size(strats); ++si) {
+            const Strat& s = strats[si];
             SimConfig cfg;
             cfg.work_cache = &cache;
             // The two engines of one strategy are compared, so the
@@ -232,13 +261,15 @@ main(int argc, char** argv)
                     .put("sim_cycles", st.cycles)
                     .put("batched_events", st.batched_events)
                     .put("peak_queue_depth", st.peak_queue_depth);
-                if (e == 0)  // what the gate compares
-                    row.put("calendar_vs_legacy", ratio);
+                if (e == 0)  // what the gate compares, and whole runs
+                    row.put("calendar_vs_legacy", ratio).put(whole, si);
                 results.push_back(row);
             }
             table.addRow(
                 {name, s.name, std::to_string(st.events_processed),
                  std::to_string(st.batched_events),
+                 Table::num(whole.spread(si, "sim_ms").median, 2),
+                 Table::num(whole.spread(si, "setup_ms").median, 2),
                  Table::num(runner.spread(0, "events_per_sec").median / 1e6,
                             2),
                  Table::num(runner.spread(1, "events_per_sec").median / 1e6,

@@ -291,12 +291,6 @@ HotTiles::iunaware(uint64_t seed) const
     return iunawarePartition(ctx_, seed);
 }
 
-Partition
-HotTiles::degradedPartition(bool hot) const
-{
-    return homogeneousPartition(ctx_, hot);
-}
-
 double
 HotTiles::predictedHotOnlyCycles() const
 {

@@ -102,14 +102,6 @@ class HotTiles
     Partition iunaware(uint64_t seed) const;
     Partition iunaware() const { return iunaware(opts_.iunaware_seed); }
 
-    /**
-     * The graceful-degradation fallback (§VI): every tile on the @p hot
-     * or cold workers.  Used when an entire worker class is lost before
-     * launch; the fault-tolerant executor applies the same policy
-     * on-line when a class dies mid-run.
-     */
-    Partition degradedPartition(bool hot) const;
-
     /** Model-predicted homogeneous runtimes (used by Fig 17). */
     double predictedHotOnlyCycles() const;
     double predictedColdOnlyCycles() const;

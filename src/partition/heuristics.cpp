@@ -458,16 +458,4 @@ hotTilesPartitionDelta(const PartitionContext& ctx, const TileGridDelta& gd,
     return out[bestCandidate(out)];
 }
 
-Partition
-homogeneousPartition(const PartitionContext& ctx, bool hot)
-{
-    HT_ASSERT(ctx.grid, "partition context has no grid");
-    Partition p;
-    p.is_hot.assign(ctx.grid->numTiles(), hot ? 1 : 0);
-    p.serial = false;
-    p.heuristic = hot ? "Degraded HotOnly" : "Degraded ColdOnly";
-    p.predicted_cycles = predictedHomogeneousCycles(ctx, hot);
-    return p;
-}
-
 } // namespace hottiles

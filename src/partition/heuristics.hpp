@@ -134,12 +134,4 @@ Partition hotTilesPartitionDelta(const PartitionContext& ctx,
  */
 std::vector<Partition> allHeuristicPartitions(const PartitionContext& ctx);
 
-/**
- * The trivial homogeneous partitioning (every tile on one worker type)
- * with its predicted runtime.  This is the §VI graceful-degradation
- * fallback: when an entire worker class is lost, execution continues on
- * the surviving type with this partitioning.
- */
-Partition homogeneousPartition(const PartitionContext& ctx, bool hot);
-
 } // namespace hottiles

@@ -242,7 +242,6 @@ class PlanService
 
     ServiceStats stats() const;
     PlanCache& cache() { return cache_; }
-    const AdmissionQueue& admission() const { return queue_; }
 
     /**
      * The live preprocessed state of @p tenant's @p session, or null

@@ -7,50 +7,25 @@
 namespace hottiles {
 
 Cache::Cache(uint64_t size_bytes, uint32_t ways, uint32_t line_bytes)
-    : ways_(ways)
+    : num_ways_(ways), num_sets_(setsFor(size_bytes, ways, line_bytes)),
+      pow2_sets_((num_sets_ & (num_sets_ - 1)) == 0)
+{
+    reset();
+}
+
+uint32_t
+Cache::setsFor(uint64_t size_bytes, uint32_t ways, uint32_t line_bytes)
 {
     HT_ASSERT(ways > 0 && line_bytes > 0, "bad cache geometry");
     uint64_t lines = size_bytes / line_bytes;
-    num_sets_ = static_cast<uint32_t>(std::max<uint64_t>(lines / ways, 1));
-    tags_.assign(size_t(num_sets_) * ways_, 0);
-    valid_.assign(size_t(num_sets_) * ways_, 0);
-}
-
-bool
-Cache::access(uint64_t line_id)
-{
-    const uint32_t set = static_cast<uint32_t>(line_id % num_sets_);
-    uint64_t* tags = tags_.data() + size_t(set) * ways_;
-    uint8_t* valid = valid_.data() + size_t(set) * ways_;
-
-    for (uint32_t w = 0; w < ways_; ++w) {
-        if (valid[w] && tags[w] == line_id) {
-            // Move to MRU position.
-            for (uint32_t k = w; k > 0; --k) {
-                tags[k] = tags[k - 1];
-                valid[k] = valid[k - 1];
-            }
-            tags[0] = line_id;
-            valid[0] = 1;
-            ++hits_;
-            return true;
-        }
-    }
-    // Miss: insert at MRU, shifting everything down (LRU way drops).
-    for (uint32_t k = ways_ - 1; k > 0; --k) {
-        tags[k] = tags[k - 1];
-        valid[k] = valid[k - 1];
-    }
-    tags[0] = line_id;
-    valid[0] = 1;
-    ++misses_;
-    return false;
+    return static_cast<uint32_t>(std::max<uint64_t>(lines / ways, 1));
 }
 
 void
 Cache::reset()
 {
-    std::fill(valid_.begin(), valid_.end(), 0);
+    ways_.assign(size_t(num_sets_) * num_ways_, Way{~uint64_t(0), 0});
+    clock_ = 0;
     hits_ = 0;
     misses_ = 0;
 }

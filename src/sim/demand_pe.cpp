@@ -1,6 +1,8 @@
 #include "sim/demand_pe.hpp"
 
-#include <memory>
+#include <algorithm>
+#include <numeric>
+#include <optional>
 
 #include "common/error.hpp"
 #include "common/units.hpp"
@@ -36,14 +38,23 @@ buildDemandSegments(const UntiledWork& work,
                     const DemandPeParams& params, uint32_t line_bytes)
 {
     DemandBuild out;
-    std::unique_ptr<Cache> l1;
-    if (params.l1_bytes > 0)
-        l1 = std::make_unique<Cache>(params.l1_bytes, params.l1_ways,
-                                     line_bytes);
-
     const uint32_t dense_row_bytes = kernel.k * traits.value_bytes;
     const uint32_t row_lines =
         static_cast<uint32_t>(ceilDiv(dense_row_bytes, line_bytes));
+
+    // Din line c * row_lines + j maps to set (c * row_lines + j) mod
+    // sets.  With span = gcd(row_lines, sets), each aligned group of span
+    // lines of a row fills span adjacent sets that all see the same
+    // sequence of groups, so one access to a cache of span-times-wider
+    // lines decides the group: a whole row when row_lines divides sets.
+    std::optional<Cache> l1;
+    uint32_t span = 1;
+    if (params.l1_bytes > 0) {
+        span = std::gcd(row_lines, Cache::setsFor(params.l1_bytes,
+                                                  params.l1_ways, line_bytes));
+        l1.emplace(params.l1_bytes, params.l1_ways, line_bytes * span);
+    }
+    const uint32_t l1_accesses = row_lines / span;  // per Din row
     const double sparse_bytes_per_nnz =
         traits.format == SparseFormat::CooLike
             ? 2.0 * traits.index_bytes + traits.value_bytes
@@ -103,13 +114,9 @@ buildDemandSegments(const UntiledWork& work,
 
                 // Din row through the L1 when present; every line otherwise.
                 if (l1) {
-                    for (uint32_t j = 0; j < row_lines; ++j) {
-                        uint64_t line_id = uint64_t(c) * row_lines + j;
-                        if (l1->access(line_id))
-                            ;  // hit: no memory traffic
-                        else
-                            ++seg.read_lines;
-                    }
+                    for (uint32_t j = 0; j < l1_accesses; ++j)
+                        if (!l1->access(uint64_t(c) * l1_accesses + j))
+                            seg.read_lines += span;  // hits cost nothing
                 } else {
                     seg.read_lines += row_lines;
                 }
@@ -135,8 +142,8 @@ buildDemandSegments(const UntiledWork& work,
     flush();
 
     if (l1) {
-        out.din_hits = l1->hits();
-        out.din_misses = l1->misses();
+        out.din_hits = l1->hits() * span;
+        out.din_misses = l1->misses() * span;
     }
     return out;
 }

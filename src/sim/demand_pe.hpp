@@ -69,7 +69,10 @@ struct DemandBuild
  * Build the pipeline segments for one demand PE processing the given
  * slices (its load-balanced share of the worker type's row chunks).
  * The cache simulation runs in traversal order here; this is sound
- * because the L1 is private and the traversal is static.
+ * because the L1 is private and the traversal is static.  One access
+ * decides gcd(row lines, L1 sets) adjacent Din lines, a whole Din row
+ * when its line count divides the set count, with the hits and misses
+ * of the line-by-line replay (docs/SIMULATOR.md, "Din L1 replay").
  */
 DemandBuild buildDemandSegments(const UntiledWork& work,
                                 const std::vector<PanelSlice>& slices,

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "common/random.hpp"
+#include "core/hottiles.hpp"
+#include "sim/fault_injector.hpp"
 #include "sim/simulator.hpp"
 #include "sparse/dense.hpp"
 #include "sparse/generators.hpp"
@@ -245,3 +247,144 @@ TEST_P(KSweep, FunctionalAndTrafficScaleWithK)
 
 INSTANTIATE_TEST_SUITE_P(Widths, KSweep,
                          testing::Values<Index>(8, 16, 32, 64, 128));
+
+namespace {
+
+/** The SimStats fields that the cold PEs' Din L1 replay decides, for
+ *  one simulated run. */
+struct PinnedStats
+{
+    Tick cycles;
+    uint64_t events;
+    uint64_t hits;
+    uint64_t misses;
+    double mem_bytes;
+};
+
+PinnedStats
+pinned(const SimStats& s)
+{
+    return {s.cycles, s.events_processed, s.cold_cache_hits,
+            s.cold_cache_misses, s.mem_bytes};
+}
+
+void
+expectPinned(const PinnedStats& got, const PinnedStats& want)
+{
+    EXPECT_EQ(got.cycles, want.cycles);
+    EXPECT_EQ(got.events, want.events);
+    EXPECT_EQ(got.hits, want.hits);
+    EXPECT_EQ(got.misses, want.misses);
+    EXPECT_EQ(got.mem_bytes, want.mem_bytes);
+}
+
+} // namespace
+
+/**
+ * ColdOnly and the HotTiles partition on two generator matrices under
+ * both architectures, at K = 1, 19, 32 and 40, plus one fail-stop run
+ * (whose executor builds the cold segments tile by tile).  The L1
+ * replays one access per Din row at K = 32 on both architectures, per
+ * line at K = 40 on both, and at K = 19 per row on SPADE only.  The
+ * constants come from a line-by-line replay through ways kept in
+ * shifted recency order, the reference that every replay path must
+ * reproduce exactly.
+ */
+TEST(Simulator, StatsPinnedAcrossL1ReplayPaths)
+{
+    static const PinnedStats kWant[] = {
+        // spade-sextans:4, rmat: ColdOnly then HotTiles at each K
+        {41436, 3860, 5237, 53979, 4556864},
+        {15310, 3130, 3882, 35604, 3748416},
+        {77558, 3864, 5360, 113072, 8730880},
+        {30416, 2993, 4210, 68766, 7589888},
+        {77558, 3864, 5360, 113072, 8730880},
+        {32910, 2993, 4210, 68766, 8228864},
+        {113339, 3868, 7015, 170633, 12806848},
+        {46110, 2970, 5880, 101373, 11528896},
+        // spade-sextans:4, community: ColdOnly then HotTiles at each K
+        {16825, 6409, 26664, 36128, 3589504},
+        {13597, 4420, 15341, 26229, 3385728},
+        {36197, 6485, 30554, 95030, 7883520},
+        {28854, 3743, 14094, 54546, 7278656},
+        {36197, 6485, 30554, 95030, 7883520},
+        {31348, 3743, 14094, 54546, 7917632},
+        {57285, 6534, 30037, 158339, 12459584},
+        {44572, 3535, 13854, 82164, 11275712},
+        // piuma, rmat: ColdOnly then HotTiles at each K
+        {102368, 10507, 492, 58724, 4873088},
+        {60188, 5313, 288, 20483, 3790656},
+        {278369, 10980, 403, 177245, 13242560},
+        {158442, 5336, 278, 62035, 9889088},
+        {366380, 11067, 388, 236476, 17425408},
+        {206761, 5328, 260, 82824, 12939136},
+        {454339, 11097, 330, 295750, 21611008},
+        {255418, 5327, 225, 103630, 15990272},
+        // piuma, community: ColdOnly then HotTiles at each K
+        {111136, 17474, 2450, 60342, 5155904},
+        {55078, 6485, 827, 15393, 3447872},
+        {309277, 18790, 36, 188340, 14396352},
+        {145810, 6607, 438, 48222, 8877440},
+        {406872, 19117, 0, 251168, 18941632},
+        {190821, 6648, 288, 64592, 11589376},
+        {504420, 19277, 0, 313960, 23484608},
+        {235517, 6673, 217, 80883, 14296256},
+        // fail-stop, spade-sextans:4, community, K = 32
+        {96331, 6842, 29882, 43378, 9567168},
+    };
+    const std::pair<const char*, Architecture> archs[] = {
+        {"spade-sextans:4", makeSpadeSextans(4)}, {"piuma", makePiuma()}};
+    const std::pair<const char*, CooMatrix> matrices[] = {
+        {"rmat", genRmat(4096, 60000, 0.57, 0.19, 0.19, 0.05, 81)},
+        {"community", genCommunity(4096, 16.0, 32, 256, 0.8, 82)}};
+    size_t next = 0;
+    auto check = [&](const SimStats& s) {
+        ASSERT_LT(next, std::size(kWant));
+        expectPinned(pinned(s), kWant[next++]);
+    };
+    for (const auto& [arch_name, arch] : archs) {
+        for (const auto& [matrix_name, m] : matrices) {
+            for (uint32_t k : {1u, 19u, 32u, 40u}) {
+                SCOPED_TRACE(testing::Message() << arch_name << ", "
+                                                << matrix_name << ", K = "
+                                                << k);
+                HotTilesOptions o;
+                o.kernel.k = k;
+                o.build_formats = false;
+                HotTiles ht(arch, m, o);
+                {
+                    SCOPED_TRACE("ColdOnly");
+                    check(simulateHomogeneous(arch, ht.grid(), false,
+                                              o.kernel)
+                              .stats);
+                }
+                const Partition& p = ht.partition();
+                SCOPED_TRACE("HotTiles");
+                check(simulateExecution(arch, ht.grid(), p.is_hot, p.serial,
+                                        o.kernel)
+                          .stats);
+            }
+        }
+    }
+
+    SCOPED_TRACE("fail-stop, spade-sextans:4, community, K = 32");
+    const Architecture& arch = archs[0].second;
+    HotTilesOptions o;
+    o.kernel.k = 32;
+    o.build_formats = false;
+    HotTiles ht(arch, matrices[1].second, o);
+    FaultEvent stop;
+    stop.kind = FaultKind::PeFailStop;
+    stop.pe = 1;  // a cold PE
+    stop.at = 5000;
+    FaultPlan plan;
+    plan.events = {stop};
+    SimConfig cfg;
+    cfg.faults = &plan;
+    const SimStats s = simulateExecution(arch, ht.grid(), ht.partition().is_hot,
+                                         false, o.kernel, cfg)
+                           .stats;
+    EXPECT_GT(s.faults.tiles_migrated, 0u);
+    check(s);
+    EXPECT_EQ(next, std::size(kWant));
+}
