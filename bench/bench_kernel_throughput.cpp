@@ -22,7 +22,8 @@
  *                          or BENCH_kernels.smoke.json under --smoke)
  *   --check FILE           compare tier-vs-scalar GFLOP/s ratios against
  *                          a baseline JSON; exit 1 on regression
- *   --tolerance F          allowed relative ratio regression (default 0.40)
+ *   --tolerance F          allowed relative ratio regression, in [0, 1)
+ *                          (default 0.40)
  *   --min-spmm-speedup F   hard floor for fast CSR SpMM @ K=32 (default 3.0)
  */
 
@@ -207,8 +208,8 @@ main(int argc, char** argv)
         "BENCH_kernels.json, BENCH_kernels.smoke.json under --smoke)\n"
         "  --check FILE           exit 1 when a tier-vs-scalar ratio "
         "regresses against this baseline JSON\n"
-        "  --tolerance F          allowed relative ratio regression "
-        "(default 0.40)\n"
+        "  --tolerance F          allowed relative ratio regression, in "
+        "[0, 1) (default 0.40)\n"
         "  --min-spmm-speedup F   floor for fast CSR SpMM @ K=32 vs "
         "scalar (default 3.0)\n";
     std::string out_path = bench::defaultOut("kernels");
@@ -232,6 +233,10 @@ main(int argc, char** argv)
         else
             bench::exitUsage(usage, "unknown option '" + a + "'");
     }
+    // At 1 or more, (1 - tolerance) x baseline <= 0 and no ratio could
+    // fail the gate.
+    if (tolerance >= 1)
+        bench::exitUsage(usage, "--tolerance must be below 1");
 
     bench::banner("bench_kernel_throughput", "kernel library",
                   "Host-kernel GFLOP/s per dispatch tier "

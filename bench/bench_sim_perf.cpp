@@ -1,115 +1,147 @@
 /**
  * @file
- * Simulator hot-loop throughput harness: times the event core in
- * events/second per (matrix, strategy) over the Table V proxies, for
- * both queue engines (the calendar/slab default and the legacy
- * std::function binary heap kept for equivalence testing), interleaved
- * by the bench runner, and emits machine-readable BENCH_sim_perf.json
- * so the repo tracks its perf trajectory across PRs.
+ * Simulator wall-time harness: times whole uncached simulations per
+ * (matrix, strategy) over the Table V proxies, splits each into work
+ * lists, segment builds and the event loop, and emits machine-readable
+ * BENCH_sim_perf.json so the repo tracks its perf trajectory across PRs.
  *
- * Events/sec is measured over the event loop proper (SimStats::loop_ms,
- * the runUntilEmpty phase), not the whole simulateExecution call, so
- * format/segment building does not dilute the metric the event-core
- * work targets.  Those engine runs share one WorkListCache, so their
- * wall time leaves out the setup.  Whole simulations are timed apart:
- * per matrix, one runner interleaves the four strategies, each sample
- * one simulateExecution on the calendar engine with a fresh
- * WorkListCache, so it builds the work lists and the segments with the
- * Din L1 replay.  The calendar row reports its `sim_ms` and
- * `setup_ms` = sim_ms - loop_ms, both with quartiles.
- *
- * The throughput metric counts *retired* events — scheduler pops plus
- * completions that piggy-backed on a coalesced event (batched_events) —
- * so it measures simulation work per second and is invariant to how
- * many completions share one queue entry.  Raw pops are still emitted
- * per record ("events").  Rows with fewer than 500 events time as
- * microsecond-scale noise and are excluded from the geomean summary
- * line and the gate (they stay in the JSON).
+ * Per matrix, one runner interleaves five cells: the four strategies
+ * and a host reference.  A strategy sample calls simulateExecution over
+ * a time budget, each call with a fresh WorkListCache, so every call
+ * builds the work lists and the segments with the Din L1 replay; it
+ * reports per-call means:
+ *   sim_ms       the whole call;
+ *   loop_ms      the event loop (SimStats::loop_ms, runUntilEmpty);
+ *   setup_ms     sim_ms - loop_ms;
+ *   worklist_ms  the growth of the format.untiled_build and
+ *                format.tiled_build timer totals over the call;
+ *   segments_ms  setup_ms - worklist_ms: the per-class segment builds
+ *                with the L1 replay, and the rest of the setup;
+ * so loop_ms + worklist_ms + segments_ms = sim_ms.  The reference cell
+ * runs the genuinely-scalar tier's spmm_csr_golden (tier_scalar.cpp is
+ * compiled with auto-vectorization off, the kernels gate's reference)
+ * over the same matrix at K = 32, single-threaded, over the same budget.
+ * sim_vs_ref and loop_vs_ref are the medians of the per-round ratios
+ * sim_ms / ref_ms and loop_ms / ref_ms: host speed cancels out of them,
+ * unlike absolute milliseconds.  events_per_sec counts *retired* events
+ * (scheduler pops plus completions that piggy-backed on a coalesced
+ * event) over loop_ms.
  *
  * Flags (besides the shared --smoke / --threads):
  *   --out FILE        JSON output path (default BENCH_sim_perf.json, or
  *                     BENCH_sim_perf.smoke.json under --smoke)
  *   --check FILE      compare against a checked-in baseline JSON and
- *                     fail (exit 1) if the calendar/legacy events-per-
- *                     second ratio of any (matrix, strategy) regressed
- *                     by more than the tolerance.  The ratio is
- *                     machine-independent, unlike absolute events/sec;
- *                     it is the median of the per-round ratios.
- *   --tolerance F     allowed relative regression (default 0.30)
+ *                     fail (exit 1) when a (matrix, strategy) row is
+ *                     missing from it, simulated a different number of
+ *                     events, or has a sim_vs_ref or loop_vs_ref more
+ *                     than the tolerance above the baseline's
+ *   --tolerance F     allowed relative regression, in [0, 1)
+ *                     (default 0.30)
  */
 
 #include <cstdio>
+#include <functional>
 #include <iostream>
 #include <iterator>
 #include <map>
 #include <string>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/error.hpp"
-#include "common/stats.hpp"
+#include "common/metrics.hpp"
 #include "common/table.hpp"
 #include "core/calibrate.hpp"
 #include "core/hottiles.hpp"
-#include "sim/event_queue.hpp"
+#include "kernels/dispatch.hpp"
 #include "sim/simulator.hpp"
 #include "sim/worklist.hpp"
+#include "sparse/csr.hpp"
+#include "sparse/dense.hpp"
 
 using namespace hottiles;
+namespace hk = hottiles::kernels;
 
 namespace {
 
-/** One (matrix, strategy) row: the calendar/legacy ratio of the runs. */
+/** One (matrix, strategy) row as the gate sees it. */
 struct Record
 {
     std::string matrix;
     std::string strategy;
     uint64_t events = 0;
-    double ratio = 0;  //!< median per-round calendar/legacy events/sec
+    double sim_vs_ref = 0;   //!< median per-round sim_ms / ref_ms
+    double loop_vs_ref = 0;  //!< median per-round loop_ms / ref_ms
 };
 
-/** RAII restore of the process-wide default queue engine. */
-struct ImplGuard
+/** Total seconds this process has spent building work lists. */
+double
+worklistSeconds()
 {
-    EventQueue::Impl saved = EventQueue::defaultImpl();
-    ~ImplGuard() { EventQueue::setDefaultImpl(saved); }
-};
+    MetricsRegistry& reg = MetricsRegistry::global();
+    return reg.timer("format.untiled_build").snapshot().sum() +
+           reg.timer("format.tiled_build").snapshot().sum();
+}
+
+/** One timed call of a cell: @p call repeated over a time budget, so
+ *  that a row of microsecond simulations reads above timer noise. */
+bench::Budget
+budgetCall(const std::function<void()>& call)
+{
+    return bench::repeatFor(bench::smokeMode() ? 5.0 : 20.0, 100000, call);
+}
 
 int
 checkAgainstBaseline(const std::vector<Record>& records,
                      const std::string& path, double tolerance)
 {
-    std::map<std::tuple<std::string, std::string, std::string>, double>
-        baseline;
-    for (const bench::Object& row : bench::readResults(path))
-        baseline[{bench::field<std::string>(row, "matrix"),
-                  bench::field<std::string>(row, "strategy"),
-                  bench::field<std::string>(row, "impl")}] =
-            bench::field<double>(row, "events_per_sec");
+    std::map<std::pair<std::string, std::string>, Record> baseline;
+    for (const bench::Object& row : bench::readResults(path)) {
+        Record b;
+        b.matrix = bench::field<std::string>(row, "matrix");
+        b.strategy = bench::field<std::string>(row, "strategy");
+        b.events = uint64_t(bench::field<double>(row, "events"));
+        b.sim_vs_ref = bench::field<double>(row, "sim_vs_ref");
+        b.loop_vs_ref = bench::field<double>(row, "loop_vs_ref");
+        baseline[{b.matrix, b.strategy}] = b;
+    }
     int failures = 0;
     for (const Record& r : records) {
-        // Sub-millisecond runs (tiny event counts) time as pure noise;
-        // they cannot support a regression verdict.
-        if (r.events < 500)
+        const char* m = r.matrix.c_str();
+        const char* s = r.strategy.c_str();
+        auto it = baseline.find({r.matrix, r.strategy});
+        if (it == baseline.end()) {
+            std::printf("BASELINE MISSING %s/%s: %s has no row for it — "
+                        "regenerate the baseline with the current sweep "
+                        "(run without --check and commit the output)\n",
+                        m, s, path.c_str());
+            ++failures;
             continue;
-        auto cal_it = baseline.find({r.matrix, r.strategy, "calendar"});
-        auto leg_it = baseline.find({r.matrix, r.strategy, "legacy-heap"});
-        if (r.ratio <= 0 || cal_it == baseline.end() ||
-            leg_it == baseline.end() || leg_it->second <= 0)
-            continue;
-        const double ratio_then = cal_it->second / leg_it->second;
-        if (r.ratio < (1.0 - tolerance) * ratio_then) {
-            std::printf("REGRESSION %s/%s: calendar-vs-legacy ratio %.2f "
-                        "(baseline %.2f, tolerance %.0f%%)\n",
-                        r.matrix.c_str(), r.strategy.c_str(), r.ratio,
-                        ratio_then, tolerance * 100);
+        }
+        const Record& then = it->second;
+        if (r.events != then.events) {
+            std::printf("EVENTS CHANGED %s/%s: %llu simulated events "
+                        "(baseline %llu)\n",
+                        m, s, (unsigned long long)r.events,
+                        (unsigned long long)then.events);
             ++failures;
         }
+        auto gate = [&](const char* ratio, double now, double base) {
+            if (now > (1.0 + tolerance) * base) {
+                std::printf("REGRESSION %s/%s: %s %.3f (baseline %.3f, "
+                            "tolerance %.0f%%)\n",
+                            m, s, ratio, now, base, tolerance * 100);
+                ++failures;
+            }
+        };
+        gate("sim_ms/ref", r.sim_vs_ref, then.sim_vs_ref);
+        gate("loop_ms/ref", r.loop_vs_ref, then.loop_vs_ref);
     }
     if (failures == 0)
-        std::printf("perf check OK: no (matrix, strategy) ratio regressed "
-                    ">%.0f%% vs %s\n", tolerance * 100, path.c_str());
+        std::printf("perf check OK: every (matrix, strategy) row matches "
+                    "the baseline's events and no sim_ms/ref or "
+                    "loop_ms/ref rose >%.0f%% vs %s\n",
+                    tolerance * 100, path.c_str());
     return failures == 0 ? 0 : 1;
 }
 
@@ -126,7 +158,8 @@ main(int argc, char** argv)
         "BENCH_sim_perf.json, BENCH_sim_perf.smoke.json under --smoke)\n"
         "  --check FILE       exit 1 on a regression against this "
         "baseline JSON\n"
-        "  --tolerance F      allowed relative regression (default 0.30)\n";
+        "  --tolerance F      allowed relative regression, in [0, 1) "
+        "(default 0.30)\n";
     std::string out_path = bench::defaultOut("sim_perf");
     std::string check_path;
     double tolerance = 0.30;
@@ -144,25 +177,25 @@ main(int argc, char** argv)
         else
             bench::exitUsage(usage, "unknown option '" + a + "'");
     }
+    // The flag takes the range of bench_kernel_throughput's, where a
+    // tolerance of 1 or more would leave the ratio gate unable to fail.
+    if (tolerance >= 1)
+        bench::exitUsage(usage, "--tolerance must be below 1");
 
     bench::banner("bench_sim_perf", "perf trajectory",
-                  "Whole-simulation wall time and event-core throughput "
-                  "(events/sec) per strategy, calendar queue vs the "
-                  "legacy binary heap");
+                  "Whole uncached simulations per strategy, split into "
+                  "work lists, segment builds and the event loop, against "
+                  "a scalar SpMM reference");
 
     Architecture arch = calibrated(makeSpadeSextans(4));
-    const std::pair<EventQueue::Impl, const char*> impls[] = {
-        {EventQueue::Impl::Calendar, "calendar"},
-        {EventQueue::Impl::LegacyHeap, "legacy-heap"},
-    };
+    const hk::KernelOps& scalar = hk::opsForTier(hk::Tier::Scalar);
+    constexpr Index kRefK = 32;
 
-    ImplGuard guard;
     std::vector<Record> records;
     std::vector<bench::Row> results;
-    GeoMean engine_speedup;
-    Table table({"Matrix", "Strategy", "Events", "Batched", "Sim ms",
-                 "Setup ms", "Calendar Mev/s", "Legacy Mev/s",
-                 "Engine speedup"});
+    Table table({"Matrix", "Strategy", "Events", "Sim ms", "Loop ms",
+                 "Worklist ms", "Segments ms", "Ref ms", "Sim/ref",
+                 "Loop/ref"});
     for (const std::string& name : bench::tableVNames()) {
         const CooMatrix& m = bench::suiteMatrix(name);
         HotTilesOptions o;
@@ -170,7 +203,6 @@ main(int argc, char** argv)
         HotTiles ht(arch, m, o);
         const Partition iu = ht.iunaware();
         const Partition& htp = ht.partition();
-        WorkListCache cache;
 
         struct Strat
         {
@@ -186,111 +218,98 @@ main(int argc, char** argv)
             {"IUnaware", &iu.is_hot, iu.serial},
             {"HotTiles", &htp.is_hot, htp.serial},
         };
-        // Whole simulations, uncached: a fresh WorkListCache per run.
-        bench::Runner whole;
-        for (const Strat& s : strats)
-            whole.add([&, s] {
-                EventQueue::setDefaultImpl(EventQueue::Impl::Calendar);
-                WorkListCache fresh;
-                SimConfig cfg;
-                cfg.work_cache = &fresh;
+        SimStats last[std::size(strats)];
+        bench::Runner runner;
+        for (size_t si = 0; si < std::size(strats); ++si)
+            runner.add([&, si] {
+                const Strat& s = strats[si];
                 double loop_ms = 0;
-                const bench::Budget b = bench::repeatFor(0, 1, [&] {
-                    loop_ms = simulateExecution(arch, ht.grid(), *s.is_hot,
-                                                s.serial, o.kernel, cfg)
-                                  .stats.loop_ms;
+                const double worklist_s0 = worklistSeconds();
+                const bench::Budget b = budgetCall([&] {
+                    WorkListCache fresh;
+                    SimConfig cfg;
+                    cfg.work_cache = &fresh;
+                    last[si] = simulateExecution(arch, ht.grid(), *s.is_hot,
+                                                 s.serial, o.kernel, cfg)
+                                   .stats;
+                    loop_ms += last[si].loop_ms;
                 });
-                return bench::Sample{{"sim_ms", b.ms},
-                                     {"setup_ms", b.ms - loop_ms}};
+                const double sim_ms = b.ms / b.reps;
+                const double worklist_ms =
+                    (worklistSeconds() - worklist_s0) * 1e3 / b.reps;
+                loop_ms /= b.reps;
+                const double setup_ms = sim_ms - loop_ms;
+                return bench::Sample{
+                    {"sim_ms", sim_ms},
+                    {"loop_ms", loop_ms},
+                    {"setup_ms", setup_ms},
+                    {"worklist_ms", worklist_ms},
+                    {"segments_ms", setup_ms - worklist_ms},
+                    {"events_per_sec",
+                     double(last[si].events_processed +
+                            last[si].batched_events) /
+                         (loop_ms / 1e3)}};
             });
-        whole.run();
 
+        // The reference: scalar golden CSR SpMM over the same matrix.
+        CooMatrix sorted = m;
+        sorted.sortRowMajor();
+        const CsrMatrix csr = CsrMatrix::fromCoo(sorted);
+        const hk::CsrView cv{csr.rowPtr().data(), csr.colIds().data(),
+                             csr.values().data(), csr.rows()};
+        DenseMatrix din(csr.cols(), kRefK);
+        din.fill(1);
+        DenseMatrix dout(csr.rows(), kRefK);
+        const size_t ref = runner.add([&] {
+            const bench::Budget b = budgetCall([&] {
+                scalar.spmm_csr_golden(cv, kRefK, din.row(0), dout.row(0), 0,
+                                       csr.rows());
+            });
+            return bench::Sample{{"ref_ms", b.ms / b.reps}};
+        });
+        runner.run();
+
+        const bench::Spread ref_ms = runner.spread(ref, "ref_ms");
         for (size_t si = 0; si < std::size(strats); ++si) {
-            const Strat& s = strats[si];
-            SimConfig cfg;
-            cfg.work_cache = &cache;
-            // The two engines of one strategy are compared, so the
-            // runner interleaves them; both must simulate the identical
-            // execution.
-            SimStats last[2];
-            bench::Runner runner;
-            for (int e = 0; e < 2; ++e)
-                runner.add([&, e] {
-                    EventQueue::setDefaultImpl(impls[e].first);
-                    double loop_ms = 0;
-                    const bench::Budget b = bench::repeatFor(
-                        bench::smokeMode() ? 5.0 : 20.0,
-                        bench::smokeMode() ? 8 : 16, [&] {
-                            last[e] = simulateExecution(arch, ht.grid(),
-                                                        *s.is_hot, s.serial,
-                                                        o.kernel, cfg)
-                                          .stats;
-                            loop_ms += last[e].loop_ms;
-                        });
-                    loop_ms /= b.reps;
-                    return bench::Sample{
-                        {"wall_ms", b.ms / b.reps},
-                        {"loop_ms", loop_ms},
-                        {"events_per_sec",
-                         double(last[e].events_processed +
-                                last[e].batched_events) /
-                             (loop_ms / 1e3)}};
-                });
-            runner.run();
-            HT_FATAL_IF(last[0].cycles != last[1].cycles ||
-                            last[0].events_processed !=
-                                last[1].events_processed,
-                        "queue engines diverged on ", name, "/", s.name);
-            const bench::Spread ratio =
-                bench::ratioSpread(runner.samples(0, "events_per_sec"),
-                                   runner.samples(1, "events_per_sec"));
-            const SimStats& st = last[0];
-            records.push_back({name, s.name, st.events_processed,
-                               ratio.median});
-            // Tiny rows (sub-500 events, microsecond loops) are timing
-            // noise; keep them out of the summary geomean.
-            if (st.events_processed >= 500)
-                engine_speedup.add(ratio.median);
-            for (int e = 0; e < 2; ++e) {
-                bench::Row row;
-                row.put("matrix", name)
-                    .put("strategy", s.name)
-                    .put("impl", impls[e].second)
-                    .put("events", st.events_processed)
-                    .put(runner, size_t(e))
-                    .put("sim_cycles", st.cycles)
-                    .put("batched_events", st.batched_events)
-                    .put("peak_queue_depth", st.peak_queue_depth);
-                if (e == 0)  // what the gate compares, and whole runs
-                    row.put("calendar_vs_legacy", ratio).put(whole, si);
-                results.push_back(row);
-            }
-            table.addRow(
-                {name, s.name, std::to_string(st.events_processed),
-                 std::to_string(st.batched_events),
-                 Table::num(whole.spread(si, "sim_ms").median, 2),
-                 Table::num(whole.spread(si, "setup_ms").median, 2),
-                 Table::num(runner.spread(0, "events_per_sec").median / 1e6,
-                            2),
-                 Table::num(runner.spread(1, "events_per_sec").median / 1e6,
-                            2),
-                 Table::num(ratio.median, 2) +
-                     (st.events_processed < 500 ? "x *" : "x")});
+            const SimStats& st = last[si];
+            const bench::Spread sim_vs_ref =
+                bench::ratioSpread(runner.samples(si, "sim_ms"),
+                                   runner.samples(ref, "ref_ms"));
+            const bench::Spread loop_vs_ref =
+                bench::ratioSpread(runner.samples(si, "loop_ms"),
+                                   runner.samples(ref, "ref_ms"));
+            records.push_back({name, strats[si].name, st.events_processed,
+                               sim_vs_ref.median, loop_vs_ref.median});
+            results.push_back(bench::Row()
+                                  .put("matrix", name)
+                                  .put("strategy", strats[si].name)
+                                  .put("events", st.events_processed)
+                                  .put("sim_cycles", st.cycles)
+                                  .put("batched_events", st.batched_events)
+                                  .put("peak_queue_depth",
+                                       st.peak_queue_depth)
+                                  .put(runner, si)
+                                  .put("ref_ms", ref_ms)
+                                  .put("sim_vs_ref", sim_vs_ref)
+                                  .put("loop_vs_ref", loop_vs_ref));
+            auto ms = [&](const char* field) {
+                return Table::num(runner.spread(si, field).median, 3);
+            };
+            table.addRow({name, strats[si].name,
+                          std::to_string(st.events_processed), ms("sim_ms"),
+                          ms("loop_ms"), ms("worklist_ms"),
+                          ms("segments_ms"), Table::num(ref_ms.median, 3),
+                          Table::num(sim_vs_ref.median, 3),
+                          Table::num(loop_vs_ref.median, 3)});
         }
     }
     table.print(std::cout);
-    std::printf("(medians of %u interleaved rounds; events/sec counts "
-                "retired events: scheduler pops + batched completions; "
-                "* = sub-500-event row, excluded from the geomean)\n",
-                bench::rounds());
-    std::printf("geomean calendar-vs-legacy events/sec: %.2fx\n",
-                engine_speedup.value());
+    std::printf("(medians of %u interleaved rounds of per-call means of "
+                "uncached simulateExecution calls; ref = scalar golden CSR "
+                "SpMM at K = %u)\n",
+                bench::rounds(), unsigned(kRefK));
 
-    bench::writeReport(
-        out_path, "sim_perf",
-        bench::Row().put("geomean_calendar_vs_legacy_events_per_sec",
-                         engine_speedup.value()),
-        results);
+    bench::writeReport(out_path, "sim_perf", bench::Row(), results);
     std::printf("wrote %s\n", out_path.c_str());
 
     if (!check_path.empty())

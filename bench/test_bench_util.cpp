@@ -91,7 +91,7 @@ TEST(BenchHarness, WriterReaderRoundTrip)
 TEST(BenchHarness, CheckedInBaselinesReadAsBefore)
 {
     // The gates' keys and values: (matrix, kernel, tier, k) -> gflops and
-    // (matrix, strategy, impl) -> events_per_sec.
+    // (matrix, strategy) -> events, sim_vs_ref and loop_vs_ref.
     auto read = [](const std::string& path,
                    const std::vector<std::string>& keys,
                    const std::string& value) {
@@ -111,10 +111,12 @@ TEST(BenchHarness, CheckedInBaselinesReadAsBefore)
     EXPECT_EQ(kcells.size(), 96u);
     EXPECT_EQ(kcells, oldParserCells(kernels, kkeys, "gflops"));
     const std::string sim = HT_BENCH_DIR "/BENCH_sim_perf_baseline.json";
-    const std::vector<std::string> skeys = {"matrix", "strategy", "impl"};
-    const auto scells = read(sim, skeys, "events_per_sec");
-    EXPECT_EQ(scells.size(), 8u);
-    EXPECT_EQ(scells, oldParserCells(sim, skeys, "events_per_sec"));
+    const std::vector<std::string> skeys = {"matrix", "strategy"};
+    for (const char* value : {"events", "sim_vs_ref", "loop_vs_ref"}) {
+        const auto scells = read(sim, skeys, value);
+        EXPECT_EQ(scells.size(), 4u) << value;
+        EXPECT_EQ(scells, oldParserCells(sim, skeys, value)) << value;
+    }
 }
 
 TEST(BenchHarness, RunnerRotatesTheStartCell)

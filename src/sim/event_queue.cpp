@@ -1,57 +1,17 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 
 #include "common/error.hpp"
 
 namespace hottiles {
 
-namespace {
-
-std::atomic<EventQueue::Impl> g_default_impl{EventQueue::Impl::Calendar};
-
-} // namespace
-
-void
-EventQueue::setDefaultImpl(Impl impl)
-{
-    g_default_impl.store(impl, std::memory_order_relaxed);
-}
-
-EventQueue::Impl
-EventQueue::defaultImpl()
-{
-    return g_default_impl.load(std::memory_order_relaxed);
-}
-
-EventQueue::EventQueue(Impl impl) : impl_(impl)
-{
-    if (impl_ == Impl::Calendar)
-        buckets_.resize(kWheelSize);
-}
-
 void
 EventQueue::schedule(Tick when, Callback cb)
 {
     HT_ASSERT(cb, "scheduling an empty callback");
-    if (impl_ == Impl::LegacyHeap) {
-        legacyPush(when, std::function<void()>(std::move(cb)));
-        return;
-    }
     pushNode(when)->cb = std::move(cb);
-}
-
-void
-EventQueue::legacyPush(Tick when, std::function<void()> fn)
-{
-    if (when < now_)
-        when = now_;
-    heap_.push(LegacyEvent{when, seq_++, std::move(fn)});
-    ++pending_;
-    if (pending_ > peak_pending_)
-        peak_pending_ = pending_;
 }
 
 EventQueue::Node*
@@ -165,27 +125,8 @@ EventQueue::execute(Node* n)
 }
 
 bool
-EventQueue::legacyRunOne()
-{
-    if (heap_.empty())
-        return false;
-    // priority_queue::top() is const; move out via const_cast is the
-    // standard idiom here and safe because we pop immediately.
-    LegacyEvent ev = std::move(const_cast<LegacyEvent&>(heap_.top()));
-    heap_.pop();
-    HT_DASSERT(ev.when >= now_, "time went backwards");
-    now_ = ev.when;
-    --pending_;
-    ++processed_;
-    ev.cb();
-    return true;
-}
-
-bool
 EventQueue::runOne()
 {
-    if (impl_ == Impl::LegacyHeap)
-        return legacyRunOne();
     Node* n = takeEarliest(~Tick(0));
     if (!n)
         return false;
@@ -196,13 +137,6 @@ EventQueue::runOne()
 Tick
 EventQueue::runUntilEmpty(Tick limit)
 {
-    if (impl_ == Impl::LegacyHeap) {
-        while (!heap_.empty() && heap_.top().when <= limit) {
-            if (!legacyRunOne())
-                break;
-        }
-        return now_;
-    }
     while (Node* n = takeEarliest(limit))
         execute(n);
     return now_;

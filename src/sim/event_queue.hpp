@@ -7,32 +7,23 @@
  * components (memory controller, links, workers) schedule against one
  * queue; the simulation is single-threaded and bit-reproducible.
  *
- * Two interchangeable engines sit behind one interface (see
- * docs/SIMULATOR.md "Event core internals"):
+ * Events live in chunked slabs of intrusive nodes with *stable
+ * addresses*; a timing wheel of one-tick buckets (with an occupancy
+ * bitmap for O(1)-ish earliest-bucket scans) orders the near future,
+ * and a small binary heap of node pointers absorbs far-future events
+ * (see docs/SIMULATOR.md "Event core internals").  No per-event
+ * allocation and no per-event callback relocation: the callable is
+ * constructed directly inside its slab node (InlineCallback::assign),
+ * invoked in place, and destroyed in place — the schedule-to-run path
+ * never moves it.
  *
- *   - Calendar (default): events live in chunked slabs of intrusive
- *     nodes with *stable addresses*; a timing wheel of one-tick buckets
- *     (with an occupancy bitmap for O(1)-ish earliest-bucket scans)
- *     orders the near future, and a small binary heap of node pointers
- *     absorbs far-future events.  No per-event allocation and no
- *     per-event callback relocation: the callable is constructed
- *     directly inside its slab node (InlineCallback::assign), invoked
- *     in place, and destroyed in place — the schedule-to-run path
- *     never moves it.
- *
- *   - LegacyHeap: the original `std::priority_queue` of
- *     `std::function` closures, kept in-tree so tests can pin that
- *     both engines produce identical execution orders and SimStats.
- *
- * Both engines implement the same contract: events run in (when, seq)
- * order where seq is the global schedule count, so same-tick events
- * are FIFO; schedules into the past clamp to now().
+ * Events run in (when, seq) order where seq is the global schedule
+ * count, so same-tick events are FIFO; schedules into the past clamp
+ * to now().
  */
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <queue>
 #include <type_traits>
 #include <vector>
 
@@ -47,19 +38,6 @@ class EventQueue
 {
   public:
     using Callback = InlineCallback;
-
-    /** Queue engine selection (see file comment). */
-    enum class Impl : uint8_t
-    {
-        Calendar,
-        LegacyHeap,
-    };
-
-    /** Engine used by default-constructed queues (process-wide). */
-    static void setDefaultImpl(Impl impl);
-    static Impl defaultImpl();
-
-    explicit EventQueue(Impl impl = defaultImpl());
 
     /** Current simulated time (cycles). */
     Tick now() const { return now_; }
@@ -78,10 +56,6 @@ class EventQueue
     void
     schedule(Tick when, F&& f)
     {
-        if (impl_ == Impl::LegacyHeap) {
-            legacyPush(when, std::function<void()>(std::forward<F>(f)));
-            return;
-        }
         pushNode(when)->cb.assign(std::forward<F>(f));
     }
 
@@ -111,10 +85,8 @@ class EventQueue
     size_t peakPending() const { return peak_pending_; }
     /** Total schedule() calls so far (the next event's FIFO sequence). */
     uint64_t scheduled() const { return seq_; }
-    Impl impl() const { return impl_; }
 
   private:
-    // -- Calendar engine ---------------------------------------------------
     static constexpr size_t kWheelBits = 12;
     static constexpr size_t kWheelSize = size_t(1) << kWheelBits;  // ticks
     static constexpr size_t kWheelWords = kWheelSize / 64;
@@ -197,26 +169,7 @@ class EventQueue
     /** Unlink and return the earliest node at tick <= limit, or null. */
     Node* takeEarliest(Tick limit);
     void execute(Node* n);
-    void legacyPush(Tick when, std::function<void()> fn);
-    bool legacyRunOne();
 
-    // -- Legacy engine -----------------------------------------------------
-    struct LegacyEvent
-    {
-        Tick when;
-        uint64_t seq;
-        std::function<void()> cb;
-    };
-    struct LegacyLater
-    {
-        bool
-        operator()(const LegacyEvent& a, const LegacyEvent& b) const
-        {
-            return a.when != b.when ? a.when > b.when : a.seq > b.seq;
-        }
-    };
-
-    Impl impl_;
     Tick now_ = 0;
     uint64_t seq_ = 0;
     uint64_t processed_ = 0;
@@ -226,14 +179,11 @@ class EventQueue
     std::vector<std::unique_ptr<Node[]>> chunks_;  //!< stable node storage
     size_t chunk_used_ = kChunkNodes;  //!< nodes carved from chunks_.back()
     Node* free_ = nullptr;
-    std::vector<Bucket> buckets_;
+    std::vector<Bucket> buckets_ = std::vector<Bucket>(kWheelSize);
     uint64_t occ_words_[kWheelWords] = {};
     uint64_t occ_summary_ = 0;  //!< bit w set iff occ_words_[w] != 0
     size_t wheel_count_ = 0;
     std::vector<Node*> overflow_;  //!< min-heap on (when, seq)
-
-    std::priority_queue<LegacyEvent, std::vector<LegacyEvent>, LegacyLater>
-        heap_;
 };
 
 } // namespace hottiles

@@ -101,7 +101,7 @@ struct SimStats
     uint64_t cold_cache_misses = 0;
     uint64_t hot_stream_lines = 0;  //!< scratchpad stream over-fetch
 
-    // Event-loop observability (identical across queue engines).
+    // Event-loop observability (deterministic like the fields above).
     uint64_t events_processed = 0;  //!< events the queue executed
     uint64_t peak_queue_depth = 0;  //!< high-water mark of pending events
     uint64_t batched_events = 0;    //!< completions coalesced away

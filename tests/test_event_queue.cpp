@@ -1,12 +1,14 @@
 /** @file Tests for the discrete-event simulation core: scheduling
- *  semantics checked against both queue engines (the calendar/slab
- *  default and the legacy binary heap), the calendar-specific wheel and
- *  overflow machinery, and cross-engine equivalence up to identical
- *  execution order and identical SimStats on simulator fixtures. */
+ *  semantics, the wheel and overflow machinery, a seeded workload whose
+ *  every pop must be the minimum pending (when, seq), and simulator
+ *  SimStats pinned on fixture grids. */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <iterator>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -17,34 +19,9 @@
 
 using namespace hottiles;
 
-namespace {
-
-/** RAII restore of the process-wide default queue engine. */
-struct ImplGuard
+TEST(EventQueue, RunsInTimeOrder)
 {
-    EventQueue::Impl saved = EventQueue::defaultImpl();
-    ~ImplGuard() { EventQueue::setDefaultImpl(saved); }
-};
-
-} // namespace
-
-class EventQueueBothEngines
-    : public ::testing::TestWithParam<EventQueue::Impl>
-{
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    Engines, EventQueueBothEngines,
-    ::testing::Values(EventQueue::Impl::Calendar,
-                      EventQueue::Impl::LegacyHeap),
-    [](const ::testing::TestParamInfo<EventQueue::Impl>& info) {
-        return info.param == EventQueue::Impl::Calendar ? "Calendar"
-                                                        : "LegacyHeap";
-    });
-
-TEST_P(EventQueueBothEngines, RunsInTimeOrder)
-{
-    EventQueue eq(GetParam());
+    EventQueue eq;
     std::vector<int> order;
     eq.schedule(30, [&] { order.push_back(3); });
     eq.schedule(10, [&] { order.push_back(1); });
@@ -55,9 +32,9 @@ TEST_P(EventQueueBothEngines, RunsInTimeOrder)
     EXPECT_EQ(eq.processed(), 3u);
 }
 
-TEST_P(EventQueueBothEngines, SameTickIsFifo)
+TEST(EventQueue, SameTickIsFifo)
 {
-    EventQueue eq(GetParam());
+    EventQueue eq;
     std::vector<int> order;
     for (int i = 0; i < 10; ++i)
         eq.schedule(5, [&order, i] { order.push_back(i); });
@@ -66,9 +43,9 @@ TEST_P(EventQueueBothEngines, SameTickIsFifo)
         EXPECT_EQ(order[i], i);
 }
 
-TEST_P(EventQueueBothEngines, PastSchedulesClampToNow)
+TEST(EventQueue, PastSchedulesClampToNow)
 {
-    EventQueue eq(GetParam());
+    EventQueue eq;
     Tick seen = 999;
     eq.schedule(50, [&] {
         eq.schedule(10, [&] { seen = eq.now(); });  // in the past
@@ -77,11 +54,11 @@ TEST_P(EventQueueBothEngines, PastSchedulesClampToNow)
     EXPECT_EQ(seen, 50u);
 }
 
-TEST_P(EventQueueBothEngines, ClampedEventRunsAfterCurrentTickFifo)
+TEST(EventQueue, ClampedEventRunsAfterCurrentTickFifo)
 {
     // A clamped-to-now event lands *behind* events already queued at
     // the current tick (it got a later sequence number).
-    EventQueue eq(GetParam());
+    EventQueue eq;
     std::vector<int> order;
     eq.schedule(50, [&] {
         order.push_back(0);
@@ -92,9 +69,9 @@ TEST_P(EventQueueBothEngines, ClampedEventRunsAfterCurrentTickFifo)
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST_P(EventQueueBothEngines, CascadingEvents)
+TEST(EventQueue, CascadingEvents)
 {
-    EventQueue eq(GetParam());
+    EventQueue eq;
     int depth = 0;
     std::function<void()> chain = [&] {
         if (++depth < 100)
@@ -106,9 +83,9 @@ TEST_P(EventQueueBothEngines, CascadingEvents)
     EXPECT_EQ(eq.now(), 198u);
 }
 
-TEST_P(EventQueueBothEngines, RunOneSteps)
+TEST(EventQueue, RunOneSteps)
 {
-    EventQueue eq(GetParam());
+    EventQueue eq;
     int fired = 0;
     eq.schedule(1, [&] { ++fired; });
     eq.schedule(2, [&] { ++fired; });
@@ -120,9 +97,9 @@ TEST_P(EventQueueBothEngines, RunOneSteps)
     EXPECT_EQ(fired, 2);
 }
 
-TEST_P(EventQueueBothEngines, RunUntilLimitStopsEarly)
+TEST(EventQueue, RunUntilLimitStopsEarly)
 {
-    EventQueue eq(GetParam());
+    EventQueue eq;
     int fired = 0;
     eq.schedule(10, [&] { ++fired; });
     eq.schedule(100, [&] { ++fired; });
@@ -133,9 +110,9 @@ TEST_P(EventQueueBothEngines, RunUntilLimitStopsEarly)
     EXPECT_EQ(fired, 2);
 }
 
-TEST_P(EventQueueBothEngines, CountersTrackDepthAndVolume)
+TEST(EventQueue, CountersTrackDepthAndVolume)
 {
-    EventQueue eq(GetParam());
+    EventQueue eq;
     EXPECT_EQ(eq.pending(), 0u);
     EXPECT_EQ(eq.peakPending(), 0u);
     for (int i = 0; i < 5; ++i)
@@ -161,12 +138,12 @@ TEST_P(EventQueueBothEngines, CountersTrackDepthAndVolume)
     EXPECT_EQ(eq.pending(), 0u);
 }
 
-TEST_P(EventQueueBothEngines, FarFutureEventsOrderWithNearOnes)
+TEST(EventQueue, FarFutureEventsOrderWithNearOnes)
 {
     // Deltas beyond the calendar wheel horizon (>= 4096 ticks out) take
     // the overflow path; they must still interleave correctly with
     // near events and preserve same-tick FIFO among themselves.
-    EventQueue eq(GetParam());
+    EventQueue eq;
     std::vector<int> order;
     eq.schedule(10000, [&] { order.push_back(3); });  // overflow
     eq.schedule(5, [&] { order.push_back(0); });      // wheel
@@ -180,13 +157,13 @@ TEST_P(EventQueueBothEngines, FarFutureEventsOrderWithNearOnes)
     EXPECT_EQ(eq.now(), 20000u);
 }
 
-TEST_P(EventQueueBothEngines, OverflowMigratesToWheelAsTimeAdvances)
+TEST(EventQueue, OverflowMigratesToWheelAsTimeAdvances)
 {
     // An event scheduled far out is beyond the wheel when inserted but
     // within it once `now` advances; it must fire at the right tick and
     // in FIFO position relative to an event scheduled later (higher
     // seq) directly onto the wheel for the same tick.
-    EventQueue eq(GetParam());
+    EventQueue eq;
     std::vector<int> order;
     eq.schedule(9000, [&] { order.push_back(0); });  // overflow at insert
     eq.schedule(8000, [&] {
@@ -197,12 +174,12 @@ TEST_P(EventQueueBothEngines, OverflowMigratesToWheelAsTimeAdvances)
     EXPECT_EQ(order, (std::vector<int>{0, 1}));
 }
 
-TEST_P(EventQueueBothEngines, WheelWrapLongHorizon)
+TEST(EventQueue, WheelWrapLongHorizon)
 {
     // March time through many wheel wraps (4096-slot wheel, steps of
     // 1500 do not divide it) and check every hop executes exactly once
     // at a strictly increasing tick.
-    EventQueue eq(GetParam());
+    EventQueue eq;
     int hops = 0;
     Tick last = 0;
     std::function<void()> hop = [&] {
@@ -218,11 +195,11 @@ TEST_P(EventQueueBothEngines, WheelWrapLongHorizon)
     EXPECT_EQ(eq.processed(), 64u);
 }
 
-TEST_P(EventQueueBothEngines, StressManyEventsStayOrdered)
+TEST(EventQueue, StressManyEventsStayOrdered)
 {
     // A few thousand pseudo-random deltas across wheel and overflow
     // ranges; verifies global (when, seq) order and conservation.
-    EventQueue eq(GetParam());
+    EventQueue eq;
     uint64_t lcg = 12345;
     auto next = [&lcg] {
         lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
@@ -246,62 +223,73 @@ TEST_P(EventQueueBothEngines, StressManyEventsStayOrdered)
             << "order violated at " << i;
 }
 
-TEST_P(EventQueueBothEngines, EmptyCallbackDies)
+TEST(EventQueue, EmptyCallbackDies)
 {
-    EventQueue eq(GetParam());
+    EventQueue eq;
     EXPECT_DEATH(eq.schedule(1, EventQueue::Callback{}), "empty callback");
 }
 
+
+TEST(EventQueue, ScriptedWorkloadPopsTheMinimumPending)
+{
+    // A seeded self-rescheduling workload with near, far (overflow) and
+    // past (clamped) schedules.  The test keeps its own set of pending
+    // (when, seq) pairs, clamping as the queue does, and every event
+    // that runs must be that set's minimum.
+    for (uint64_t seed : {uint64_t(1), uint64_t(99), uint64_t(20240)}) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        EventQueue eq;
+        uint64_t lcg = seed;
+        auto next = [&lcg] {
+            lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+            return lcg >> 33;
+        };
+        std::set<std::pair<Tick, uint64_t>> pending;
+        uint64_t budget = 3000;
+        std::function<void(Tick, uint64_t)> fire;
+        auto add = [&](Tick when) {
+            const Tick due = std::max(when, eq.now());
+            const uint64_t seq = eq.scheduled();
+            pending.emplace(due, seq);
+            eq.schedule(when, [&fire, due, seq] { fire(due, seq); });
+        };
+        fire = [&](Tick due, uint64_t seq) {
+            ASSERT_FALSE(pending.empty());
+            EXPECT_EQ(*pending.begin(), std::make_pair(due, seq));
+            EXPECT_EQ(eq.now(), due);
+            pending.erase({due, seq});
+            // Fan out 0..2 children while the budget lasts; the RNG is
+            // consumed in execution order.
+            const uint64_t kids = next() % 3;
+            for (uint64_t k = 0; k < kids && budget > 0; ++k) {
+                --budget;
+                switch (next() % 3) {
+                case 0:
+                    add(eq.now() + next() % 100);
+                    break;
+                case 1:
+                    add(eq.now() + 4000 + next() % 9000);
+                    break;
+                default:
+                    add(eq.now() - std::min<Tick>(eq.now(), next() % 100));
+                }
+            }
+        };
+        for (int i = 0; i < 50; ++i)
+            add(next() % 5000);
+        eq.runUntilEmpty();
+        EXPECT_TRUE(pending.empty());
+        EXPECT_EQ(eq.processed(), eq.scheduled());
+        EXPECT_GT(eq.processed(), 2000u);
+    }
+}
+
 // ---------------------------------------------------------------------
-// Cross-engine equivalence: both engines must execute the identical
-// event sequence, first on a scripted random workload, then end to end
-// through the simulator (identical SimStats, including the new
-// event-loop observability fields).
+// SimStats pinned end to end through the simulator, the event-loop
+// observability fields included.
 // ---------------------------------------------------------------------
 
 namespace {
-
-/** Run a seeded self-rescheduling workload and record the execution
- *  trace.  The RNG is consumed in execution order, so the traces can
- *  only match if both engines pop events in the identical order. */
-std::vector<std::pair<Tick, uint64_t>>
-scriptedTrace(EventQueue::Impl impl, uint64_t seed)
-{
-    EventQueue eq(impl);
-    uint64_t lcg = seed;
-    auto next = [&lcg] {
-        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-        return lcg >> 33;
-    };
-    std::vector<std::pair<Tick, uint64_t>> trace;
-    uint64_t id = 0;
-    uint64_t budget = 3000;
-    std::function<void(uint64_t)> fire = [&](uint64_t my) {
-        trace.emplace_back(eq.now(), my);
-        // Fan out 0..2 children with mixed near/far deltas while the
-        // budget lasts; the consumed RNG values depend on pop order.
-        const uint64_t kids = next() % 3;
-        for (uint64_t k = 0; k < kids && budget > 0; ++k) {
-            --budget;
-            const Tick delta = (next() % 2) ? next() % 100
-                                            : 4000 + next() % 9000;
-            const uint64_t child = id++;
-            eq.scheduleIn(delta, [&fire, child] { fire(child); });
-        }
-    };
-    for (int i = 0; i < 50; ++i) {
-        const uint64_t my = id++;
-        eq.schedule(next() % 5000, [&fire, my] { fire(my); });
-    }
-    eq.runUntilEmpty();
-    return trace;
-}
-
-Architecture
-testArch()
-{
-    return makeSpadeSextans(4);
-}
 
 /** All SimStats fields the simulation derives deterministically. */
 void
@@ -335,34 +323,68 @@ expectStatsIdentical(const SimStats& a, const SimStats& b)
 }
 
 SimStats
-simulateWith(EventQueue::Impl impl, const Architecture& arch,
-             const TileGrid& grid, const std::vector<uint8_t>& is_hot,
-             bool serial, const SimConfig& cfg = {})
+simulate(const TileGrid& grid, const std::vector<uint8_t>& is_hot,
+         bool serial, const SimConfig& cfg = {})
 {
-    ImplGuard guard;
-    EventQueue::setDefaultImpl(impl);
-    return simulateExecution(arch, grid, is_hot, serial, KernelConfig{},
-                             cfg)
+    return simulateExecution(makeSpadeSextans(4), grid, is_hot, serial,
+                             KernelConfig{}, cfg)
         .stats;
 }
 
 } // namespace
 
-TEST(EventQueueCrossEngine, ScriptedWorkloadExecutesIdentically)
+/**
+ * Four plans on the smoke benches' community matrix, and a fault plan
+ * below.  The constants are the stats that the calendar queue and the
+ * binary heap it replaced both produced.
+ */
+TEST(EventQueue, SimulatorStatsPinnedOnFixtureGrid)
 {
-    for (uint64_t seed : {uint64_t(1), uint64_t(99), uint64_t(20240)}) {
-        const auto cal = scriptedTrace(EventQueue::Impl::Calendar, seed);
-        const auto leg = scriptedTrace(EventQueue::Impl::LegacyHeap, seed);
-        EXPECT_EQ(cal, leg) << "seed " << seed;
-    }
-}
-
-TEST(EventQueueCrossEngine, SimulatorStatsIdenticalOnFixtureGrid)
-{
-    const Architecture arch = testArch();
+    static const SimStats kWant[] = {
+        // all hot
+        {.cycles = 8483, .ms = 0.01060375, .total_nnz = 11702,
+         .hot_nnz = 11702, .cold_nnz = 0, .mem_bytes = 927296,
+         .avg_bw_gbps = 87.44981728162207,
+         .lines_per_nnz = 1.2381644163390872, .hot_finish = 8019,
+         .cold_finish = 0, .hot_gflops = 74.71535104127697,
+         .cold_gflops = 0, .merge_cycles = 0, .cold_cache_hits = 0,
+         .cold_cache_misses = 0, .hot_stream_lines = 8192,
+         .events_processed = 56, .peak_queue_depth = 3,
+         .batched_events = 0, .faults = {}},
+        // all cold
+        {.cycles = 8806, .ms = 0.0110075, .total_nnz = 11702, .hot_nnz = 0,
+         .cold_nnz = 11702, .mem_bytes = 1345344,
+         .avg_bw_gbps = 122.22066772655008,
+         .lines_per_nnz = 1.7963595966501453, .hot_finish = 0,
+         .cold_finish = 8583, .hot_gflops = 0,
+         .cold_gflops = 69.80570895957125, .merge_cycles = 0,
+         .cold_cache_hits = 8664, .cold_cache_misses = 14740,
+         .hot_stream_lines = 0, .events_processed = 1328,
+         .peak_queue_depth = 304, .batched_events = 310, .faults = {}},
+        // every third tile hot, parallel
+        {.cycles = 7296, .ms = 0.00912, .total_nnz = 11702,
+         .hot_nnz = 5554, .cold_nnz = 6148, .mem_bytes = 1703232,
+         .avg_bw_gbps = 186.7578947368421,
+         .lines_per_nnz = 2.27422662792685, .hot_finish = 5210,
+         .cold_finish = 5376, .hot_gflops = 54.58057581573896,
+         .cold_gflops = 58.55238095238096, .merge_cycles = 1615,
+         .cold_cache_hits = 4666, .cold_cache_misses = 7630,
+         .hot_stream_lines = 3072, .events_processed = 740,
+         .peak_queue_depth = 149, .batched_events = 179, .faults = {}},
+        // every third tile hot, serial
+        {.cycles = 10688, .ms = 0.01336, .total_nnz = 11702,
+         .hot_nnz = 5554, .cold_nnz = 6148, .mem_bytes = 1310016,
+         .avg_bw_gbps = 98.05508982035929,
+         .lines_per_nnz = 1.7491881729618868, .hot_finish = 10224,
+         .cold_finish = 5346, .hot_gflops = 61.89917283413147,
+         .cold_gflops = 58.880957725402176, .merge_cycles = 0,
+         .cold_cache_hits = 4666, .cold_cache_misses = 7630,
+         .hot_stream_lines = 3072, .events_processed = 782,
+         .peak_queue_depth = 151, .batched_events = 165, .faults = {}},
+    };
+    const Architecture arch = makeSpadeSextans(4);
     const CooMatrix m = genCommunity(1024, 12.0, 32, 128, 0.8, 7);
     const TileGrid grid(m, arch.tile_height, arch.tile_width);
-
     std::vector<uint8_t> all_hot(grid.numTiles(), 1);
     std::vector<uint8_t> all_cold(grid.numTiles(), 0);
     std::vector<uint8_t> mixed(grid.numTiles(), 0);
@@ -374,23 +396,31 @@ TEST(EventQueueCrossEngine, SimulatorStatsIdenticalOnFixtureGrid)
         const std::vector<uint8_t>* is_hot;
         bool serial;
     };
-    for (const Case& c : std::initializer_list<Case>{{&all_hot, false},
-                                                     {&all_cold, false},
-                                                     {&mixed, false},
-                                                     {&mixed, true}}) {
-        SimStats cal = simulateWith(EventQueue::Impl::Calendar, arch, grid,
-                                    *c.is_hot, c.serial);
-        SimStats leg = simulateWith(EventQueue::Impl::LegacyHeap, arch,
-                                    grid, *c.is_hot, c.serial);
-        expectStatsIdentical(cal, leg);
-        EXPECT_GT(cal.events_processed, 0u);
-        EXPECT_GT(cal.peak_queue_depth, 0u);
+    const Case cases[] = {{&all_hot, false},
+                          {&all_cold, false},
+                          {&mixed, false},
+                          {&mixed, true}};
+    for (size_t i = 0; i < std::size(cases); ++i) {
+        SCOPED_TRACE(testing::Message() << "case " << i);
+        expectStatsIdentical(
+            simulate(grid, *cases[i].is_hot, cases[i].serial), kWant[i]);
     }
 }
 
-TEST(EventQueueCrossEngine, SimulatorStatsIdenticalUnderFaults)
+TEST(EventQueue, SimulatorStatsPinnedUnderFaults)
 {
-    const Architecture arch = testArch();
+    const SimStats kWant = {
+        .cycles = 17999, .ms = 0.02249875, .total_nnz = 11702,
+        .hot_nnz = 6108, .cold_nnz = 5594, .mem_bytes = 1979328,
+        .avg_bw_gbps = 87.9750208344908,
+        .lines_per_nnz = 2.6428815587079133, .hot_finish = 6631,
+        .cold_finish = 15189, .hot_gflops = 47.161755391343696,
+        .cold_gflops = 18.856593587464612, .merge_cycles = 1615,
+        .cold_cache_hits = 5586, .cold_cache_misses = 5602,
+        .hot_stream_lines = 4096, .events_processed = 801,
+        .peak_queue_depth = 88, .batched_events = 142,
+        .faults = {.injected = 3}};
+    const Architecture arch = makeSpadeSextans(4);
     const CooMatrix m = genCommunity(1024, 12.0, 32, 128, 0.8, 7);
     const TileGrid grid(m, arch.tile_height, arch.tile_width);
     std::vector<uint8_t> mixed(grid.numTiles(), 0);
@@ -405,11 +435,5 @@ TEST(EventQueueCrossEngine, SimulatorStatsIdenticalUnderFaults)
     const FaultPlan plan = makeFaultPlan(7, arch, spec);
     SimConfig cfg;
     cfg.faults = &plan;
-
-    SimStats cal = simulateWith(EventQueue::Impl::Calendar, arch, grid,
-                                mixed, false, cfg);
-    SimStats leg = simulateWith(EventQueue::Impl::LegacyHeap, arch, grid,
-                                mixed, false, cfg);
-    expectStatsIdentical(cal, leg);
-    EXPECT_GT(cal.faults.injected, 0u);
+    expectStatsIdentical(simulate(grid, mixed, false, cfg), kWant);
 }

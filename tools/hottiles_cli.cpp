@@ -697,8 +697,8 @@ cmdSimulate(const Options& o)
         cols.push_back("Migrated");
     }
     if (o.verbose) {
-        // Event-loop observability columns (identical across queue
-        // engines; useful for judging simulation cost per strategy).
+        // Event-loop observability columns (deterministic; useful for
+        // judging simulation cost per strategy).
         cols.push_back("Events");
         cols.push_back("PeakQ");
         cols.push_back("Batched");
