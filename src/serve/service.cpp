@@ -22,8 +22,6 @@
 #include "exec/backend.hpp"
 #include "partition/predicted_runtime.hpp"
 #include "sim/trace.hpp"
-#include "sparse/matrix_market.hpp"
-#include "sparse/suite.hpp"
 
 namespace hottiles::serve {
 
@@ -318,8 +316,13 @@ tenantLatencyHistogram(MetricsRegistry& reg, const std::string& label,
 
 PlanService::PlanService(const ServiceConfig& cfg)
     : cfg_(cfg), cache_(cfg.cache_capacity),
+      resident_(cfg.resident_budget_bytes),
       queue_(cfg.queue_capacity, cfg.max_per_tenant)
 {
+    // Calibrating an architecture is a one-time, process-wide cost
+    // (core/calibrate.cpp); do it for the default one now, so that it
+    // does not eat into the deadline of the first request.
+    resolveArch(ServeRequest().arch);
     unsigned workers = std::max(1u, cfg_.workers);
     // workers + 1 total parallelism = `workers` spawned pool threads;
     // every request executor is a real thread, never the submitter.
@@ -529,24 +532,7 @@ PlanService::resolveMatrix(const ServeRequest& req)
 {
     if (req.matrix_data)
         return req.matrix_data;
-    HT_FATAL_IF(req.matrix.empty(), "request has no matrix");
-    {
-        std::lock_guard<std::mutex> lock(resolve_mu_);
-        auto it = matrices_.find(req.matrix);
-        if (it != matrices_.end())
-            return it->second;
-    }
-    // Load outside the lock (MatrixMarket files can be large); a
-    // concurrent duplicate load publishes the same content.
-    std::shared_ptr<const CooMatrix> m;
-    if (req.matrix[0] == '@')
-        m = std::make_shared<CooMatrix>(
-            makeSuiteMatrix(req.matrix.substr(1)));
-    else
-        m = std::make_shared<CooMatrix>(readMatrixMarketFile(req.matrix));
-    std::lock_guard<std::mutex> lock(resolve_mu_);
-    auto [it, inserted] = matrices_.emplace(req.matrix, std::move(m));
-    return it->second;
+    return resident_.acquire(nullptr, req.matrix)->matrix();
 }
 
 std::shared_ptr<const Architecture>
@@ -677,10 +663,13 @@ PlanService::handle(const ServeRequest& req, FlightSlot& slot)
     Rng jitter_rng(splitmix64(jitter_seed));
 
     // --- Resolve inputs (bounded work; whole-deadline budget). ---
-    std::shared_ptr<const CooMatrix> matrix;
+    // The handle's resident entry holds what earlier requests derived
+    // from the matrix; the fingerprint, grid and formats below come from
+    // it and are built only by the first request that needs them.
+    std::shared_ptr<ResidentMatrix> res;
     std::shared_ptr<const Architecture> arch;
     try {
-        matrix = resolveMatrix(req);
+        res = resident_.acquire(req.matrix_data, req.matrix);
         arch = resolveArch(req.arch);
     } catch (const FatalError&) {
         return rq.done(ServeStatus::Error, "bad-input");
@@ -689,8 +678,11 @@ PlanService::handle(const ServeRequest& req, FlightSlot& slot)
         req.kernel.kind == SparseKernel::Sddmm)
         return rq.done(ServeStatus::Error, "sddmm-not-executable");
 
-    const PlanKey key = makePlanKey(*matrix, req.arch, arch->tile_height,
-                                    arch->tile_width, req.kernel);
+    const std::shared_ptr<const CooMatrix> matrix = res->matrix();
+    const Index th = arch->tile_height;
+    const Index tw = arch->tile_width;
+    const PlanKey key =
+        makePlanKey(res->fingerprint(th, tw), req.arch, th, tw, req.kernel);
 
     if (chaos.corrupt_cache) {
         uint64_t cseed = cfg_.chaos.seed ^ (req.id * 0x94d049bb133111ebULL);
@@ -795,24 +787,23 @@ PlanService::handle(const ServeRequest& req, FlightSlot& slot)
         if (rq.remaining() <= 0)
             return rq.done(ServeStatus::Timeout, degrade_reason);
         // Degraded plan-mode reply: the fallback needs the tile count,
-        // which costs one scan.
+        // which the handle's resident grid holds (one scan, once).
         rq.arm(deadline_s);
-        TileGrid grid(*matrix, arch->tile_height, arch->tile_width);
         CachedPlan degraded;
-        degraded.is_hot.assign(grid.numTiles(), 0);
+        degraded.is_hot.assign(res->grid(th, tw).numTiles(), 0);
         degraded.heuristic = "degraded-cold";
         degraded.checksum = degraded.payloadChecksum();
         reply.checksum = degraded.checksum;
         return rq.done(ServeStatus::Degraded, degrade_reason);
     }
 
-    // --- Run mode: scan (values needed regardless of cache) + execute. ---
+    // --- Run mode: execute the resident grid and formats. ---
     if (rq.remaining() <= 0)
         return rq.done(ServeStatus::Timeout,
                        degrade_reason ? degrade_reason : "deadline");
     rq.arm(deadline_s);
     try {
-        TileGrid grid(*matrix, arch->tile_height, arch->tile_width);
+        const TileGrid& grid = res->grid(th, tw);
         Partition part;
         if (plan) {
             if (plan->is_hot.size() != grid.numTiles()) {
@@ -831,9 +822,10 @@ PlanService::handle(const ServeRequest& req, FlightSlot& slot)
         }
         if (!plan)
             part = degradedColdPartition(grid.numTiles());
-        const TiledWork hot = buildTiledWork(grid, part.hotTiles());
-        const UntiledWork cold = buildUntiledWork(grid, part.coldTiles());
-        rq.execute(grid, part, hot, cold, plan ? plan->hot_share_hint : 0);
+        const std::shared_ptr<const ResidentFormats> formats =
+            res->formats(th, tw, part);
+        rq.execute(grid, part, formats->hot, formats->cold,
+                   plan ? plan->hot_share_hint : 0);
         return rq.done(plan ? ServeStatus::Ok : ServeStatus::Degraded,
                        degrade_reason);
     } catch (const FatalError&) {

@@ -8,6 +8,9 @@
  *
  *   - a structural-fingerprint plan cache (serve/plan_cache.hpp) with
  *     bounded capacity, LRU eviction and single-flight deduplication;
+ *   - resident matrix handles (serve/resident.hpp): each handle's
+ *     fingerprint, tile grid and worker formats, built once and kept
+ *     within a byte budget, so a Run on a cached plan rescans nothing;
  *   - admission control and backpressure (serve/admission.hpp): a
  *     bounded request queue in front of the PR 1 thread pool, explicit
  *     OVERLOADED shedding, per-tenant fairness caps;
@@ -41,6 +44,7 @@
 #include "model/worker_traits.hpp"
 #include "serve/admission.hpp"
 #include "serve/plan_cache.hpp"
+#include "serve/resident.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/delta.hpp"
 #include "sparse/dense.hpp"
@@ -99,6 +103,9 @@ struct ServeRequest
     /** Matrix handle: @name for a suite proxy or a MatrixMarket path.
      *  Ignored when matrix_data is set (in-process clients). */
     std::string matrix;
+    /** In-process matrix; its pointer is its handle.  The service keeps
+     *  a grid of its values resident (serve/resident.hpp), so it must
+     *  not change while the caller shares it. */
     std::shared_ptr<const CooMatrix> matrix_data;
     std::string arch = "spade-sextans:4";
     RequestMode mode = RequestMode::Run;
@@ -169,6 +176,10 @@ struct ServiceConfig
     /** Live per-tenant sessions the service will hold (0 = sessions
      *  disabled; session requests reply ERROR session-limit). */
     size_t max_sessions = 64;
+    /** Cap on resident handle bytes (loaded wire matrices, grids and
+     *  formats, plus a fixed charge per entry), LRU-evicted past it;
+     *  0 keeps nothing resident across requests. */
+    size_t resident_budget_bytes = size_t(512) << 20;
     ChaosConfig chaos;
     TraceSink* trace = nullptr;     //!< optional transition trace sink
 };
@@ -280,15 +291,17 @@ class PlanService
 
     const ServiceConfig cfg_;
     PlanCache cache_;
+    // Resident handles: per matrix handle, its loaded matrix (wire
+    // handles) and per tile shape its fingerprint, grid and formats.
+    ResidentStore resident_;
     AdmissionQueue queue_;
     std::unique_ptr<ThreadPool> pool_;
     std::vector<std::unique_ptr<FlightSlot>> flights_;
     std::thread watchdog_;
     std::atomic<bool> watchdog_stop_{false};
 
-    // Resolved-input memoization (handles repeat across a stream).
+    // Resolved architectures (specs repeat across a stream).
     std::mutex resolve_mu_;
-    std::map<std::string, std::shared_ptr<const CooMatrix>> matrices_;
     std::map<std::string, std::shared_ptr<const Architecture>> archs_;
 
     // Per-tenant sessions: live HotTiles state + chained fingerprint,

@@ -17,6 +17,10 @@
  *  - ServeDelta: sessions patched by structural and value deltas stay
  *    bit-identical to from-scratch builds, and a session Run executes
  *    the session's own worker formats without rebuilding them.
+ *  - ServeResident: a handle's fingerprint, grid and formats are built
+ *    once and reused by later stateless requests, within a byte budget,
+ *    never for another matrix at a freed address, and formats only for
+ *    the partition they were built for.
  *  - ServeChaos: a 16-client closed loop under full chaos (class
  *    kills, cache corruption, wedges, flaky builds): every request
  *    reaches a terminal state, successful replies stay bit-identical
@@ -31,12 +35,16 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <new>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -54,6 +62,7 @@
 #include "serve/service.hpp"
 #include "sparse/delta.hpp"
 #include "sparse/generators.hpp"
+#include "sparse/matrix_market.hpp"
 #include "sparse/suite.hpp"
 
 namespace hottiles::serve {
@@ -1078,12 +1087,18 @@ TEST(ServeDelta, SessionRunExecutesTheSessionFormats)
     k8.k = 8;
     EXPECT_EQ(run.checksum, expectedOkChecksum(*m, k8, 3));
 
-    // The probe is live: a stateless Run builds both lists per request.
+    // The probe is live: the first stateless Run of the matrix builds
+    // both lists for its handle, and a second Run builds nothing.
+    const auto unbuilt = formatBuilds();
     ServeReply stateless = service.call(runRequest(m, 4));
     ASSERT_EQ(stateless.status, ServeStatus::Ok);
-    const auto after = formatBuilds();
-    EXPECT_GT(after.first, before.first);
-    EXPECT_GT(after.second, before.second);
+    const auto first = formatBuilds();
+    EXPECT_EQ(first.first, unbuilt.first + 1);
+    EXPECT_EQ(first.second, unbuilt.second + 1);
+    ServeReply again = service.call(runRequest(m, 5));
+    ASSERT_EQ(again.status, ServeStatus::Ok);
+    EXPECT_EQ(formatBuilds(), first)
+        << "a second stateless Run must execute the resident formats";
     service.stop();
 }
 
@@ -1137,6 +1152,277 @@ TEST(ServeDelta, SessionLimitsAndMismatchesError)
     EXPECT_EQ(r.status, ServeStatus::Error);
     EXPECT_EQ(r.detail, "session-limit");
     disabled.stop();
+}
+
+// ----------------------------------------------------- resident handles
+
+/** Process-wide counts of resident-store lookups and of the O(nnz)
+ *  structures a lookup miss makes the service build. */
+struct ResidentProbe
+{
+    uint64_t hit = 0, miss = 0, evict = 0;
+    uint64_t fingerprints = 0, grids = 0, tiled = 0, untiled = 0;
+};
+
+ResidentProbe
+residentProbe()
+{
+    MetricsRegistry& reg = MetricsRegistry::global();
+    ResidentProbe p;
+    p.hit = reg.counter("serve.resident.hit").value();
+    p.miss = reg.counter("serve.resident.miss").value();
+    p.evict = reg.counter("serve.resident.evict").value();
+    p.fingerprints = reg.timer("serve.fingerprint").snapshot().count();
+    p.grids = reg.timer("serve.tile_grid").snapshot().count();
+    std::tie(p.tiled, p.untiled) = formatBuilds();
+    return p;
+}
+
+/** Submit every request at once and wait for all their replies. */
+std::vector<ServeReply>
+callConcurrently(PlanService& service, std::vector<ServeRequest> reqs)
+{
+    std::mutex mu;
+    std::condition_variable cv;
+    std::vector<ServeReply> replies;
+    const size_t n = reqs.size();
+    for (ServeRequest& req : reqs)
+        service.submit(std::move(req), [&](const ServeReply& r) {
+            std::lock_guard<std::mutex> lock(mu);
+            replies.push_back(r);
+            cv.notify_all();
+        });
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return replies.size() == n; });
+    return replies;
+}
+
+TEST(ServeResident, SecondRunOfAHandleBuildsNothing)
+{
+    auto m = testMatrix(61);
+    const std::string path = testing::TempDir() + "/ht_resident_" +
+                             std::to_string(::getpid()) + ".mtx";
+    writeMatrixMarketFile(*testMatrix(62), path);
+    const CooMatrix loaded = readMatrixMarketFile(path);
+
+    ServiceConfig cfg;
+    cfg.workers = 1;
+    PlanService service(cfg);
+    ServeRequest wire = runRequest(nullptr, 3);
+    wire.matrix = path;
+    ASSERT_EQ(service.call(runRequest(m, 1)).status, ServeStatus::Ok);
+    ASSERT_EQ(service.call(wire).status, ServeStatus::Ok);
+
+    // In-process (pointer) and wire (path) handles alike: the second Run
+    // finds the handle resident and neither fingerprints, tiles, loads
+    // nor builds a worker format.
+    KernelConfig k8;
+    k8.k = 8;
+    for (const auto& [req, matrix] :
+         {std::pair<ServeRequest, const CooMatrix*>{runRequest(m, 2), m.get()},
+          {wire, &loaded}}) {
+        ServeRequest again = req;
+        again.id += 10;
+        again.seed = 7;  // another Din: no coalescing, a fresh execution
+        const ResidentProbe before = residentProbe();
+        ServeReply reply = service.call(again);
+        const ResidentProbe after = residentProbe();
+        ASSERT_EQ(reply.status, ServeStatus::Ok);
+        EXPECT_EQ(reply.plan_source, "hit");
+        EXPECT_EQ(after.hit, before.hit + 1);
+        EXPECT_EQ(after.miss, before.miss);
+        EXPECT_EQ(after.fingerprints, before.fingerprints);
+        EXPECT_EQ(after.grids, before.grids);
+        EXPECT_EQ(after.tiled, before.tiled);
+        EXPECT_EQ(after.untiled, before.untiled);
+        EXPECT_EQ(reply.checksum, expectedOkChecksum(*matrix, k8, 7));
+    }
+    service.stop();
+    std::remove(path.c_str());
+}
+
+TEST(ServeResident, BudgetBelowOneGridEvictsAndRebuilds)
+{
+    auto a = testMatrix(63);
+    auto b = testMatrix(64);
+    ServiceConfig cfg;
+    cfg.workers = 1;
+    cfg.resident_budget_bytes = 4 * ResidentStore::kEntryBytes;
+    // A tile grid alone holds a row, a column and a value per nonzero.
+    ASSERT_GT(a->nnz() * (2 * sizeof(Index) + sizeof(Value)),
+              cfg.resident_budget_bytes);
+    PlanService service(cfg);
+    const Gauge& bytes =
+        MetricsRegistry::global().gauge("serve.resident_bytes");
+
+    KernelConfig k8;
+    k8.k = 8;
+    const ResidentProbe start = residentProbe();
+    const std::pair<uint64_t, std::shared_ptr<const CooMatrix>> order[] = {
+        {1, a}, {2, b}, {3, a}};
+    for (const auto& [id, m] : order) {
+        ServeReply reply = service.call(runRequest(m, id));
+        ASSERT_EQ(reply.status, ServeStatus::Ok);
+        EXPECT_LE(bytes.value(), double(cfg.resident_budget_bytes));
+        EXPECT_EQ(reply.checksum, expectedOkChecksum(*m, k8, 42))
+            << "request " << id;
+    }
+    const ResidentProbe end = residentProbe();
+    EXPECT_EQ(end.miss - start.miss, 3u)
+        << "A's entry was evicted, so its second Run misses";
+    EXPECT_GE(end.evict - start.evict, 2u);
+    EXPECT_EQ(end.grids - start.grids, 3u) << "A's grid is rebuilt";
+    service.stop();
+}
+
+TEST(ServeResident, NewMatrixAtAFreedAddressNeverMeetsTheStaleEntry)
+{
+    // X and Y live in the same storage, one after the other: the same
+    // pointer handle, two different matrices of one shape.
+    alignas(CooMatrix) unsigned char storage[sizeof(CooMatrix)];
+    std::atomic<int> live{0};
+    auto place = [&](uint64_t seed) {
+        auto* p = new (storage)
+            CooMatrix(genCommunity(768, 10.0, 32, 96, 0.8, seed));
+        live.fetch_add(1);
+        return std::shared_ptr<const CooMatrix>(
+            p, [&live](const CooMatrix* q) {
+                q->~CooMatrix();
+                live.fetch_sub(1);
+            });
+    };
+    ServiceConfig cfg;
+    cfg.workers = 1;
+    PlanService service(cfg);
+    KernelConfig k8;
+    k8.k = 8;
+
+    std::shared_ptr<const CooMatrix> x = place(65);
+    const uint64_t x_want = expectedOkChecksum(*x, k8, 42);
+    ServeReply rx = service.call(runRequest(x, 1));
+    ASSERT_EQ(rx.status, ServeStatus::Ok);
+    EXPECT_EQ(rx.checksum, x_want);
+    const void* addr = x.get();
+    x.reset();
+    // The worker drops its copy of the request, the last owner of X,
+    // just after the reply; only then is the storage free.
+    for (int i = 0; i < 10000 && live.load() != 0; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(live.load(), 0) << "the service still holds X";
+
+    std::shared_ptr<const CooMatrix> y = place(66);
+    ASSERT_EQ(y.get(), addr);
+    const ResidentProbe before = residentProbe();
+    ServeReply ry = service.call(runRequest(y, 2));
+    ASSERT_EQ(ry.status, ServeStatus::Ok);
+    EXPECT_EQ(ry.plan_source, "miss") << "Y was keyed with X's fingerprint";
+    EXPECT_EQ(residentProbe().miss, before.miss + 1);
+    EXPECT_EQ(ry.checksum, expectedOkChecksum(*y, k8, 42));
+    EXPECT_NE(ry.checksum, x_want);
+    service.stop();
+}
+
+TEST(ServeResident, ConcurrentRunsOfANewHandleBuildItsGridOnce)
+{
+    auto m = testMatrix(67);
+    ServiceConfig cfg;
+    cfg.workers = 8;
+    cfg.coalesce_runs = false;  // eight real Runs, not one fanned out
+    PlanService service(cfg);
+
+    // The reference first: it builds formats of its own, and it
+    // calibrates the architecture (a process-wide memo whose simulations
+    // build work lists too) before the service's first request would.
+    KernelConfig k8;
+    k8.k = 8;
+    const uint64_t want = expectedOkChecksum(*m, k8, 42);
+
+    std::vector<ServeRequest> reqs;
+    for (uint64_t id = 1; id <= 8; ++id)
+        reqs.push_back(runRequest(m, id));
+    const ResidentProbe before = residentProbe();
+    const std::vector<ServeReply> replies =
+        callConcurrently(service, std::move(reqs));
+    const ResidentProbe after = residentProbe();
+
+    EXPECT_EQ(after.miss - before.miss, 1u);
+    EXPECT_EQ(after.hit - before.hit, 7u);
+    EXPECT_EQ(after.fingerprints - before.fingerprints, 1u);
+    EXPECT_EQ(after.grids - before.grids, 1u);
+    EXPECT_EQ(after.tiled - before.tiled, 1u);
+    EXPECT_EQ(after.untiled - before.untiled, 1u);
+    ASSERT_EQ(replies.size(), 8u);
+    for (const ServeReply& r : replies) {
+        EXPECT_EQ(r.status, ServeStatus::Ok);
+        EXPECT_EQ(r.checksum, want) << "request " << r.id;
+    }
+    service.stop();
+}
+
+TEST(ServeResident, FormatsAreReusedOnlyForTheSamePartition)
+{
+    auto m = testMatrix(68);
+    KernelConfig k8;
+    k8.k = 8;
+    KernelConfig k16;
+    k16.k = 16;
+    {
+        HotTilesOptions opts;
+        opts.kernel = k8;
+        opts.build_formats = false;
+        const HotTiles ht(testArch(), *m, opts);
+        ASSERT_FALSE(ht.partition().hotTiles().empty())
+            << "an all-cold plan could not tell the partitions apart";
+    }
+    ServiceConfig cfg;
+    cfg.workers = 1;
+    // A miss with less than 10 s left degrades at once, all cold.
+    cfg.fresh_floor_ms = 10000;
+    cfg.chaos.seed = 3;  // every request corrupts a cached plan first
+    cfg.chaos.p_corrupt_cache = 1.0;
+    cfg.chaos.p_kill_class = 0;
+    cfg.chaos.p_wedge = 0;
+    cfg.chaos.p_flaky_build = 0;
+    PlanService service(cfg);
+
+    ServeReply r1 = service.call(runRequest(m, 1));
+    ASSERT_EQ(r1.status, ServeStatus::Ok);
+    EXPECT_EQ(r1.plan_source, "miss");
+
+    // The corrupted plan is dropped and rebuilt with the same is_hot, so
+    // the resident formats serve it.
+    ResidentProbe before = residentProbe();
+    ServeReply r2 = service.call(runRequest(m, 2));
+    ResidentProbe after = residentProbe();
+    ASSERT_EQ(r2.status, ServeStatus::Ok);
+    EXPECT_EQ(r2.plan_source, "corrupt");
+    EXPECT_EQ(after.tiled, before.tiled);
+    EXPECT_EQ(after.untiled, before.untiled);
+    EXPECT_EQ(r2.checksum, expectedOkChecksum(*m, k8, 42));
+
+    // Another K misses under deadline pressure and runs all cold on the
+    // same grid: another is_hot, so the formats are rebuilt.
+    ServeRequest cold = runRequest(m, 3, 16);
+    cold.deadline_ms = 5000;
+    before = residentProbe();
+    ServeReply r3 = service.call(cold);
+    after = residentProbe();
+    ASSERT_EQ(r3.status, ServeStatus::Degraded);
+    EXPECT_EQ(after.grids, before.grids);
+    EXPECT_EQ(after.tiled, before.tiled + 1);
+    EXPECT_EQ(after.untiled, before.untiled + 1);
+    EXPECT_EQ(r3.checksum, expectedDegradedChecksum(*m, k16, 42));
+
+    // Back on the (again corrupted, again rebuilt) plan: rebuilt to match.
+    before = residentProbe();
+    ServeReply r4 = service.call(runRequest(m, 4));
+    after = residentProbe();
+    ASSERT_EQ(r4.status, ServeStatus::Ok);
+    EXPECT_EQ(r4.plan_source, "corrupt");
+    EXPECT_EQ(after.tiled, before.tiled + 1);
+    EXPECT_EQ(after.untiled, before.untiled + 1);
+    EXPECT_EQ(r4.checksum, expectedOkChecksum(*m, k8, 42));
+    service.stop();
 }
 
 // ----------------------------------------------------------- coalescing

@@ -103,6 +103,9 @@
  *   --chaos-seed N       enable deterministic chaos mode (0 = off)
  *   --no-coalesce        disable in-flight Run request coalescing
  *   --max-sessions N     live delta sessions, 0 = off   (default 64)
+ *   --resident-mb N      resident handle budget in MiB: loaded matrices,
+ *                        tile grids and worker formats kept per matrix
+ *                        handle, LRU-evicted past it; 0 = off (default 512)
  */
 
 #include <charconv>
@@ -194,6 +197,7 @@ struct Options
     uint32_t serve_max_retries = 2;
     bool serve_coalesce = true;
     uint64_t serve_max_sessions = 64;
+    uint64_t serve_resident_mb = 512;
     uint64_t chaos_seed = 0;
 };
 
@@ -262,7 +266,7 @@ usage(const char* argv0)
                  "[--corrupt-output] "
                  "[--workers N] [--queue-capacity N] [--tenant-cap N] "
                  "[--cache-capacity N] [--deadline-ms X] "
-                 "[--max-retries N] [--chaos-seed N] "
+                 "[--max-retries N] [--chaos-seed N] [--resident-mb N] "
                  "[--updates N] [--inserts N] [--deletes N] "
                  "[--delta-seed S]\n"
                  "<matrix> is a .mtx path or @name for a built-in proxy "
@@ -390,7 +394,13 @@ parseArgs(int argc, char** argv)
         else if (a == "--max-sessions")
             o.serve_max_sessions =
                 parseU64Arg(next("--max-sessions"), "--max-sessions");
-        else if (a == "--updates") {
+        else if (a == "--resident-mb") {
+            o.serve_resident_mb =
+                parseU64Arg(next("--resident-mb"), "--resident-mb");
+            HT_FATAL_IF(o.serve_resident_mb > (SIZE_MAX >> 20),
+                        "--resident-mb must be in [0, ", SIZE_MAX >> 20,
+                        "], got ", o.serve_resident_mb);
+        } else if (a == "--updates") {
             o.updates = parseU64Arg(next("--updates"), "--updates");
             HT_FATAL_IF(o.updates == 0 || o.updates > 1024,
                         "--updates must be in [1, 1024]");
@@ -883,6 +893,7 @@ cmdServe(const Options& o)
     cfg.max_retries = o.serve_max_retries;
     cfg.coalesce_runs = o.serve_coalesce;
     cfg.max_sessions = o.serve_max_sessions;
+    cfg.resident_budget_bytes = size_t(o.serve_resident_mb) << 20;
     cfg.chaos.seed = o.chaos_seed;
     TraceSinkHolder trace(o);  // --trace/--trace-json: ladder transitions
     cfg.trace = trace.sink;
@@ -890,6 +901,7 @@ cmdServe(const Options& o)
     std::cerr << "hottiles serve: " << cfg.workers << " workers, queue "
               << cfg.queue_capacity << ", cache " << cfg.cache_capacity
               << ", deadline " << cfg.default_deadline_ms << " ms"
+              << ", resident " << o.serve_resident_mb << " MiB"
               << (cfg.chaos.enabled() ? ", CHAOS MODE" : "") << "\n";
 
     serve::PlanService service(cfg);
@@ -905,7 +917,12 @@ cmdServe(const Options& o)
               << " delta(s), " << s.value_patches
               << " value patch(es); cache " << s.cache.hits << " hit / "
               << s.cache.misses << " miss / " << s.cache.shared_builds
-              << " shared / " << s.cache.corrupt_dropped << " corrupt\n";
+              << " shared / " << s.cache.corrupt_dropped << " corrupt; "
+              << "resident "
+              << uint64_t(MetricsRegistry::global()
+                              .gauge("serve.resident_bytes")
+                              .value())
+              << " bytes\n";
     if (!o.metrics_file.empty())
         writeMetricsTo(o.metrics_file);
     return kExitOk;
