@@ -118,11 +118,8 @@ main(int argc, char** argv)
         // other, so the runner interleaves them.
         bench::Runner runner;
         for (Cell& s : strategies) {
-            AssignmentTotals totals =
-                assignmentTotals(ht.context(), s.plan.is_hot);
-            if (totals.th_total + totals.tc_total > 0)
-                s.eo.hot_share_hint =
-                    totals.th_total / (totals.th_total + totals.tc_total);
+            s.eo.hot_share_hint =
+                assignmentTotals(ht.context(), s.plan.is_hot).hotShare();
             if (check)
                 s.ref = exec::referenceExecute(grid, s.plan, kernel, din);
             runner.add([&, &s = s] {

@@ -7,9 +7,9 @@
  *
  * Per matrix, one runner interleaves five cells: the four strategies
  * and a host reference.  A strategy sample calls simulateExecution over
- * a time budget, each call with a fresh WorkListCache, so every call
- * builds the work lists and the segments with the Din L1 replay; it
- * reports per-call means:
+ * a time budget with no shared memo, so every call builds the work
+ * lists and the segments with the Din L1 replay; it reports per-call
+ * means:
  *   sim_ms       the whole call;
  *   loop_ms      the event loop (SimStats::loop_ms, runUntilEmpty);
  *   setup_ms     sim_ms - loop_ms;
@@ -55,7 +55,6 @@
 #include "core/hottiles.hpp"
 #include "kernels/dispatch.hpp"
 #include "sim/simulator.hpp"
-#include "sim/worklist.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/dense.hpp"
 
@@ -226,11 +225,8 @@ main(int argc, char** argv)
                 double loop_ms = 0;
                 const double worklist_s0 = worklistSeconds();
                 const bench::Budget b = budgetCall([&] {
-                    WorkListCache fresh;
-                    SimConfig cfg;
-                    cfg.work_cache = &fresh;
                     last[si] = simulateExecution(arch, ht.grid(), *s.is_hot,
-                                                 s.serial, o.kernel, cfg)
+                                                 s.serial, o.kernel)
                                    .stats;
                     loop_ms += last[si].loop_ms;
                 });

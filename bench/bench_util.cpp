@@ -26,6 +26,7 @@ namespace hottiles::bench {
 namespace {
 
 bool g_smoke = false;
+double g_spin_before = 0;  //!< a full run's host probe before its rounds
 
 constexpr const char* kSharedUsage =
     "shared bench flags:\n"
@@ -103,6 +104,9 @@ init(int* argc, char** argv)
         }
     }
     *argc = out;
+    if (!g_smoke)  // the spin probe costs about a second
+        g_spin_before = perfbench::spinParallelism(
+            std::max(1u, std::thread::hardware_concurrency()));
 }
 
 bool
@@ -375,8 +379,9 @@ writeReport(const std::string& path, const std::string& name,
     const unsigned nproc = std::max(1u, std::thread::hardware_concurrency());
     Row host;
     host.put("nproc", nproc).put("build", perfbench::buildFacts());
-    if (!g_smoke)  // the spin probe costs about a second
-        host.put("spin_parallelism", perfbench::spinParallelism(nproc));
+    if (!g_smoke)  // the probes before and after the rounds
+        host.put("spin_parallelism_before", g_spin_before)
+            .put("spin_parallelism", perfbench::spinParallelism(nproc));
     out << "{\n  \"schema\": \"hottiles.bench_" << name << ".v2\",\n"
         << "  \"smoke\": " << (g_smoke ? "true" : "false") << ",\n"
         << "  \"host\": {" << host.json() << "},\n"

@@ -36,6 +36,8 @@ namespace hottiles::bench {
  *                 binary exercises its full code path in seconds.
  *   --threads N   thread-pool size (same as the CLI flag); anything
  *                 but a positive integer is a usage error (exit 2).
+ * A full run (no --smoke) then probes the host's spin parallelism, which
+ * writeReport records as `spin_parallelism_before`.
  * Call first thing in main().
  */
 void init(int* argc, char** argv);
@@ -200,8 +202,9 @@ class Row
 std::string defaultOut(const std::string& name);
 
 /** Write a result file: `schema` (hottiles.bench_<name>.v2), `smoke`,
- *  the `host` block (nproc and build facts, plus the measured spin
- *  parallelism in a full run), the `metrics` registry snapshot,
+ *  the `host` block (nproc and build facts, plus in a full run the
+ *  spin parallelism measured by init() before the rounds and again
+ *  here after them), the `metrics` registry snapshot,
  *  @p summary's fields and @p results. */
 void writeReport(const std::string& path, const std::string& name,
                  const Row& summary, const std::vector<Row>& results);

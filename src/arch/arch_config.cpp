@@ -1,5 +1,8 @@
 #include "arch/arch_config.hpp"
 
+#include <algorithm>
+#include <charconv>
+
 #include "common/error.hpp"
 #include "common/string_util.hpp"
 
@@ -171,6 +174,33 @@ std::vector<int>
 spadeSextansScales()
 {
     return {1, 2, 4, 8};
+}
+
+Architecture
+architectureFromSpec(std::string_view spec)
+{
+    const std::vector<std::string_view> parts = splitChar(spec, ':');
+    const std::string base = toLower(parts[0]);
+    if (base == "spade-sextans" && parts.size() <= 2) {
+        if (parts.size() == 1)
+            return makeSpadeSextans(4);
+        const std::string_view v = parts[1];
+        const std::vector<int> scales = spadeSextansScales();
+        int scale = 0;
+        auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), scale);
+        HT_FATAL_IF(ec != std::errc() || end != v.data() + v.size() ||
+                        std::find(scales.begin(), scales.end(), scale) ==
+                            scales.end(),
+                    "bad architecture '", spec,
+                    "': the spade-sextans scale must be 1, 2, 4 or 8");
+        return makeSpadeSextans(scale);
+    }
+    if (parts.size() == 1 && base == "pcie")
+        return makeSpadeSextansPcie();
+    if (parts.size() == 1 && base == "piuma")
+        return makePiuma();
+    HT_FATAL("unknown architecture '", spec,
+             "' (try spade-sextans[:1|2|4|8], pcie, piuma)");
 }
 
 } // namespace hottiles

@@ -14,6 +14,7 @@
  */
 
 #include <string>
+#include <string_view>
 
 #include "model/worker_traits.hpp"
 #include "sim/demand_pe.hpp"
@@ -95,5 +96,14 @@ Architecture makePiuma();
 
 /** All four Table IV scales, for the Fig 12 sweep. */
 std::vector<int> spadeSextansScales();
+
+/**
+ * The architecture that @p spec names, as `hottiles --arch` and the
+ * wire's `arch=` spell it: `spade-sextans[:SCALE]` (a Table IV scale,
+ * default 4), `pcie` or `piuma`, the name in any case.  Anything else
+ * (an unknown name, a scale outside Table IV, trailing characters, an
+ * extra `:` field) is a FatalError that names the spec.
+ */
+Architecture architectureFromSpec(std::string_view spec);
 
 } // namespace hottiles

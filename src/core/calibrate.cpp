@@ -55,20 +55,18 @@ makeSamples(const Architecture& arch, bool hot_type,
     return samples;
 }
 
-std::map<std::string, ArchCalibration>&
-cache()
-{
-    static std::map<std::string, ArchCalibration> c;
-    return c;
-}
-
 } // namespace
 
 ArchCalibration
-calibrateArchitecture(Architecture& arch, bool force)
+calibrateArchitecture(Architecture& arch)
 {
-    auto it = cache().find(arch.name);
-    if (!force && it != cache().end()) {
+    // The memo's lock is held across a calibration, so concurrent first
+    // users share one build.  The simulations' parallelFor calls run
+    // their chunks on this thread too, so the lock cannot starve the pool.
+    static std::mutex mu;
+    static std::map<std::string, ArchCalibration> memo;
+    std::lock_guard<std::mutex> lock(mu);
+    if (auto it = memo.find(arch.name); it != memo.end()) {
         arch.hot.vis_lat = it->second.hot_vis_lat;
         arch.cold.vis_lat = it->second.cold_vis_lat;
         return it->second;
@@ -95,7 +93,7 @@ calibrateArchitecture(Architecture& arch, bool force)
     }
     arch.hot.vis_lat = result.hot_vis_lat;
     arch.cold.vis_lat = result.cold_vis_lat;
-    cache()[arch.name] = result;
+    memo[arch.name] = result;
     logInfo("calibrated ", arch.name, ": hot vis_lat=", result.hot_vis_lat,
             " (err ", result.hot_error, "), cold vis_lat=",
             result.cold_vis_lat, " (err ", result.cold_error, ")");

@@ -28,9 +28,10 @@ struct ArchCalibration
  * Calibrate @p arch in place (sets arch.hot.vis_lat / arch.cold.vis_lat)
  * and return the search outcome.  Uses three small synthetic profiling
  * matrices (uniform, power-law, mesh).  Results are memoized on
- * arch.name; pass @p force to re-run.
+ * arch.name for the process; concurrent first users of one name share
+ * one calibration.
  */
-ArchCalibration calibrateArchitecture(Architecture& arch, bool force = false);
+ArchCalibration calibrateArchitecture(Architecture& arch);
 
 /** Convenience: calibrated copy of a factory-made architecture. */
 Architecture calibrated(Architecture arch);

@@ -8,7 +8,7 @@
 #include "common/thread_pool.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/trace.hpp"
-#include "sim/worklist.hpp"
+#include "sim/work_cache.hpp"
 
 namespace hottiles {
 
@@ -64,10 +64,10 @@ evaluateMatrix(const Architecture& arch, const CooMatrix& a,
     // writes its own MatrixEvaluation slot.  Any fault plan applies to
     // every strategy while the predictions stay fault-free, so the
     // evaluation exposes predicted-vs-achieved under faults.
-    // The strategies' tile sets largely coincide (HotOnly and a
-    // mostly-hot partition want the same all-hot TiledWork, ColdOnly
-    // and IUnaware share cold panels), so one cache serves all four
-    // concurrent simulations and each distinct work list builds once.
+    // One memo serves all four concurrent simulations, so a class whose
+    // tile set two strategies share builds once: a homogeneous HotTiles
+    // plan and the matching HotOnly or ColdOnly run, and every strategy's
+    // empty class.
     WorkListCache work_cache;
     SimConfig scfg;
     scfg.faults = faults;

@@ -206,8 +206,8 @@ HotTiles::applyDelta(const DeltaBatch& d)
     // Stage 4': patch the formats.  The hot (tiled) format is a cheap
     // O(#hot tiles) grouping and is rebuilt outright.  The cold
     // (untiled) format reuses each panel's PanelWork when the panel's
-    // data and its cold membership both stayed put — the per-panel
-    // equivalent of PR 3's SegmentBuildCache, applied across a grid
+    // data and its cold membership both stayed put — a per-panel
+    // version of the simulator's WorkListCache, applied across a grid
     // mutation — and rebuilds the rest with one buildUntiledWork call.
     if (opts_.build_formats) {
         ScopedTimer fmt_timer("preprocess.update_formats");

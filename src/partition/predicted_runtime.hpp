@@ -27,6 +27,15 @@ struct AssignmentTotals
     double bc_total = 0;  //!< bytes moved by cold workers
 
     double bTotal() const { return bh_total + bc_total; }
+
+    /** The hot workers' share of the predicted time, th / (th + tc); 0
+     *  when both totals are 0. */
+    double
+    hotShare() const
+    {
+        const double t = th_total + tc_total;
+        return t > 0 ? th_total / t : 0;
+    }
 };
 
 /**

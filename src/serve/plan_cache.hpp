@@ -3,10 +3,10 @@
 /**
  * @file
  * The cross-request partition-plan cache of the serving layer
- * (docs/SERVING.md).  Where PR 3's SegmentBuildCache memoizes segment
- * builds *within* one evaluateMatrix call, this cache memoizes the
- * expensive scan -> model -> partition pipeline *across* requests keyed
- * by structural fingerprint (serve/fingerprint.hpp):
+ * (docs/SERVING.md).  Where the simulator's WorkListCache memoizes
+ * simulation setup *within* one evaluateMatrix call, this cache
+ * memoizes the expensive scan -> model -> partition pipeline *across*
+ * requests keyed by structural fingerprint (serve/fingerprint.hpp):
  *
  *   - bounded capacity with LRU eviction (entries are shared_ptr, so a
  *     plan handed to an in-flight request survives its own eviction);

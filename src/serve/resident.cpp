@@ -2,7 +2,6 @@
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
-#include "sparse/matrix_market.hpp"
 #include "sparse/suite.hpp"
 
 namespace hottiles::serve {
@@ -228,9 +227,7 @@ ResidentStore::load(const std::shared_ptr<ResidentMatrix>& e)
         return;
     const std::string& handle = e->key_.second;
     try {
-        e->owned_ = std::make_shared<const CooMatrix>(
-            handle[0] == '@' ? makeSuiteMatrix(handle.substr(1))
-                             : readMatrixMarketFile(handle));
+        e->owned_ = std::make_shared<const CooMatrix>(matrixFromHandle(handle));
     } catch (...) {
         lock.unlock();
         Dropped dropped;

@@ -1,7 +1,6 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -14,7 +13,6 @@
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/random.hpp"
-#include "common/string_util.hpp"
 #include "common/thread_pool.hpp"
 #include "core/calibrate.hpp"
 #include "core/hottiles.hpp"
@@ -71,30 +69,6 @@ struct ChaosPlan
     }
 };
 
-Architecture
-archFromSpec(const std::string& spec)
-{
-    auto parts = splitChar(spec, ':');
-    std::string base = toLower(parts[0]);
-    if (base == "spade-sextans") {
-        int scale = 4;
-        if (parts.size() > 1) {
-            long s = std::strtol(std::string(parts[1]).c_str(), nullptr, 10);
-            HT_FATAL_IF(s <= 0 || s > 256,
-                        "arch scale must be in [1, 256], got '", parts[1],
-                        "'");
-            scale = static_cast<int>(s);
-        }
-        return makeSpadeSextans(scale);
-    }
-    if (base == "pcie")
-        return makeSpadeSextansPcie();
-    if (base == "piuma")
-        return makePiuma();
-    HT_FATAL("unknown architecture '", spec,
-             "' (try spade-sextans[:1|2|4|8], pcie, piuma)");
-}
-
 /** The homogeneous fallback of the degradation ladder: every tile on
  *  the cold (base-format) workers.  Needs only the tile count — no
  *  model, no partitioning heuristics. */
@@ -118,10 +92,7 @@ planFromPartition(const HotTiles& ht)
     plan.serial = p.serial;
     plan.predicted_cycles = p.predicted_cycles;
     plan.heuristic = p.heuristic;
-    AssignmentTotals totals = assignmentTotals(ht.context(), p.is_hot);
-    if (totals.th_total + totals.tc_total > 0)
-        plan.hot_share_hint =
-            totals.th_total / (totals.th_total + totals.tc_total);
+    plan.hot_share_hint = assignmentTotals(ht.context(), p.is_hot).hotShare();
     plan.checksum = plan.payloadChecksum();
     return plan;
 }
@@ -544,7 +515,7 @@ PlanService::resolveArch(const std::string& spec)
         if (it != archs_.end())
             return it->second;
     }
-    Architecture a = calibrated(archFromSpec(spec));
+    Architecture a = calibrated(architectureFromSpec(spec));
     std::lock_guard<std::mutex> lock(resolve_mu_);
     return archs_
         .emplace(spec, std::make_shared<Architecture>(std::move(a)))

@@ -3,21 +3,17 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
-#include <numeric>
 
 #include "common/error.hpp"
 #include "kernels/dispatch.hpp"
-#include "sim/demand_pe.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/link.hpp"
 #include "sim/memory_system.hpp"
 #include "sim/merger.hpp"
-#include "sim/segment_cache.hpp"
-#include "sim/stream_pe.hpp"
 #include "sim/trace.hpp"
+#include "sim/work_cache.hpp"
 #include "sim/worker.hpp"
-#include "sim/worklist.hpp"
 
 namespace hottiles {
 
@@ -36,6 +32,44 @@ struct TypeRun
     uint64_t stream_lines = 0;
 
     bool empty() const { return pes.empty(); }
+
+    void
+    tally(const DemandBuild& b)
+    {
+        cache_hits += b.din_hits;
+        cache_misses += b.din_misses;
+    }
+
+    void tally(const StreamBuild& b) { stream_lines += b.din_stream_lines; }
+
+    /** One PE per non-empty share of @p cls, each on its own port of
+     *  width params.port_bytes_per_cycle to @p base when that is set. */
+    template <typename Work, typename PeBuild, typename Params>
+    void
+    addPes(const ClassBuild<Work, PeBuild>& cls, const WorkerTraits& traits,
+           const Params& params, EventQueue& eq, MemPort& base,
+           uint32_t line_bytes)
+    {
+        size_t bi = 0;
+        for (size_t w = 0; w < cls.shares.size(); ++w) {
+            if (cls.shares[w].empty())
+                continue;
+            const PeBuild& b = cls.builds[bi++];
+            nnz += b.nnz;
+            flops += b.flops;
+            tally(b);
+            MemPort* port = &base;
+            if (params.port_bytes_per_cycle > 0) {
+                ports.push_back(std::make_unique<Link>(
+                    eq, base, params.port_bytes_per_cycle, Tick(0),
+                    line_bytes));
+                port = ports.back().get();
+            }
+            pes.push_back(std::make_unique<PipelinedWorker>(
+                traits.name + " #" + std::to_string(w), eq, *port,
+                params.depth, b.segs));
+        }
+    }
 
     void
     startAll(EventQueue& eq)
@@ -78,24 +112,13 @@ simulateExecution(const Architecture& arch, const TileGrid& grid,
     HT_ASSERT(cold_ids.empty() || arch.cold.count > 0,
               "cold tiles assigned but architecture has no cold workers");
 
-    // Work lists come from the shared cache when one is configured
-    // (evaluateMatrix runs four strategies on one grid and their tile
-    // sets largely coincide); otherwise they are built locally.
-    UntiledWork local_cold;
-    TiledWork local_hot;
-    const UntiledWork* cold_ptr;
-    const TiledWork* hot_ptr;
-    if (cfg.work_cache) {
-        cold_ptr = &cfg.work_cache->untiled(grid, cold_ids);
-        hot_ptr = &cfg.work_cache->tiled(grid, hot_ids);
-    } else {
-        local_cold = buildUntiledWork(grid, cold_ids);
-        local_hot = buildTiledWork(grid, hot_ids);
-        cold_ptr = &local_cold;
-        hot_ptr = &local_hot;
-    }
-    const UntiledWork& cold_work = *cold_ptr;
-    const TiledWork& hot_work = *hot_ptr;
+    // Each class's setup (work list, shares, per-PE segments) comes from
+    // the caller's memo when one is configured (evaluateMatrix runs four
+    // strategies on one grid), otherwise from a private one.
+    WorkListCache own;
+    WorkListCache& memo = cfg.work_cache ? *cfg.work_cache : own;
+    const ColdClassBuild& cold_class = memo.cold(arch, grid, kernel, cold_ids);
+    const HotClassBuild& hot_class = memo.hot(arch, grid, kernel, hot_ids);
 
     EventQueue eq;
     MemorySystem mem(eq, arch.bwBytesPerCycle(), arch.mem_latency,
@@ -108,124 +131,14 @@ simulateExecution(const Architecture& arch, const TileGrid& grid,
         hot_port = pcie.get();
     }
 
-    // Build the cold PEs (demand access, untiled row-major panels).
-    // The expensive per-class build (slicing, share balancing, and the
-    // per-PE segment construction with its Din cache simulation) is a
-    // pure function of (work list, arch, kernel); with a cache it is
-    // built once and the other strategies copy the segment lists.
+    // The cold PEs (demand access, untiled row-major panels), then the
+    // hot PEs (streaming, tiled row-major panels).
     TypeRun cold;
-    if (!cold_work.panels.empty()) {
-        auto buildColdClass = [&] {
-            // Distribute row-aligned chunks (§VII-A: 64 contiguous rows
-            // per SPADE chunk) so hub rows do not serialize one PE.
-            ColdClassBuild cb;
-            std::vector<PanelSlice> slices =
-                sliceUntiledWork(cold_work, arch.cold_pe.chunk_rows);
-            std::vector<uint64_t> slice_nnz(slices.size());
-            for (size_t s = 0; s < slices.size(); ++s)
-                slice_nnz[s] = slices[s].nnz;
-            cb.shares = balancedShares(slice_nnz, arch.cold.count);
-            for (uint32_t w = 0; w < arch.cold.count; ++w) {
-                if (cb.shares[w].empty())
-                    continue;
-                std::vector<PanelSlice> mine;
-                mine.reserve(cb.shares[w].size());
-                for (size_t s : cb.shares[w])
-                    mine.push_back(slices[s]);
-                cb.builds.push_back(
-                    buildDemandSegments(cold_work, mine, arch.cold, kernel,
-                                        arch.cold_pe, arch.line_bytes));
-            }
-            return cb;
-        };
-        ColdClassBuild local_cb;
-        const ColdClassBuild* cb;
-        if (cfg.work_cache) {
-            cb = &cfg.work_cache->segments().cold(cold_ids, buildColdClass);
-        } else {
-            local_cb = buildColdClass();
-            cb = &local_cb;
-        }
-        size_t bi = 0;
-        for (uint32_t w = 0; w < arch.cold.count; ++w) {
-            if (cb->shares[w].empty())
-                continue;
-            const DemandBuild& b = cb->builds[bi];
-            cold.nnz += b.nnz;
-            cold.flops += b.flops;
-            cold.cache_hits += b.din_hits;
-            cold.cache_misses += b.din_misses;
-            // Cached builds are shared: copy the segments out.  A local
-            // build is ours alone and its segments move.
-            std::vector<SegSpec> segs = cfg.work_cache
-                                            ? b.segs
-                                            : std::move(local_cb.builds[bi].segs);
-            ++bi;
-            MemPort* port = &mem;
-            if (arch.cold_pe.port_bytes_per_cycle > 0) {
-                cold.ports.push_back(std::make_unique<Link>(
-                    eq, mem, arch.cold_pe.port_bytes_per_cycle, Tick(0),
-                    arch.line_bytes));
-                port = cold.ports.back().get();
-            }
-            cold.pes.push_back(std::make_unique<PipelinedWorker>(
-                arch.cold.name + " #" + std::to_string(w), eq, *port,
-                arch.cold_pe.depth, std::move(segs)));
-        }
-    }
-
-    // Build the hot PEs (streaming, tiled row-major panels).
+    cold.addPes(cold_class, arch.cold, arch.cold_pe, eq, mem,
+                arch.line_bytes);
     TypeRun hot;
-    if (!hot_work.panel_tiles.empty()) {
-        auto buildHotClass = [&] {
-            HotClassBuild hb;
-            std::vector<uint64_t> panel_nnz(hot_work.panel_tiles.size());
-            for (size_t p = 0; p < hot_work.panel_tiles.size(); ++p)
-                for (size_t tid : hot_work.panel_tiles[p])
-                    panel_nnz[p] += grid.tile(tid).nnz;
-            hb.shares = balancedShares(panel_nnz, arch.hot.count);
-            for (uint32_t w = 0; w < arch.hot.count; ++w) {
-                if (hb.shares[w].empty())
-                    continue;
-                hb.builds.push_back(
-                    buildStreamSegments(hot_work, hb.shares[w], grid,
-                                        arch.hot, kernel, arch.hot_pe,
-                                        arch.line_bytes));
-            }
-            return hb;
-        };
-        HotClassBuild local_hb;
-        const HotClassBuild* hb;
-        if (cfg.work_cache) {
-            hb = &cfg.work_cache->segments().hot(hot_ids, buildHotClass);
-        } else {
-            local_hb = buildHotClass();
-            hb = &local_hb;
-        }
-        size_t bi = 0;
-        for (uint32_t w = 0; w < arch.hot.count; ++w) {
-            if (hb->shares[w].empty())
-                continue;
-            const StreamBuild& b = hb->builds[bi];
-            hot.nnz += b.nnz;
-            hot.flops += b.flops;
-            hot.stream_lines += b.din_stream_lines;
-            std::vector<SegSpec> segs = cfg.work_cache
-                                            ? b.segs
-                                            : std::move(local_hb.builds[bi].segs);
-            ++bi;
-            MemPort* port = hot_port;
-            if (arch.hot_pe.port_bytes_per_cycle > 0) {
-                hot.ports.push_back(std::make_unique<Link>(
-                    eq, *hot_port, arch.hot_pe.port_bytes_per_cycle, Tick(0),
-                    arch.line_bytes));
-                port = hot.ports.back().get();
-            }
-            hot.pes.push_back(std::make_unique<PipelinedWorker>(
-                arch.hot.name + " #" + std::to_string(w), eq, *port,
-                arch.hot_pe.depth, std::move(segs)));
-        }
-    }
+    hot.addPes(hot_class, arch.hot, arch.hot_pe, eq, *hot_port,
+               arch.line_bytes);
 
     SimOutput out;
     if (cfg.trace) {
@@ -341,6 +254,7 @@ simulateExecution(const Architecture& arch, const TileGrid& grid,
     // the cold panels, then the hot tiles.  The COO kernels take a row
     // id per nonzero, so each cold panel's row pointers are expanded.
     if (cfg.compute_values) {
+        const UntiledWork& cold_work = cold_class.work;
         std::vector<std::vector<Index>> cold_rows(cold_work.panels.size());
         std::vector<kernels::CooView> sets;
         for (size_t p = 0; p < cold_work.panels.size(); ++p) {
@@ -351,7 +265,7 @@ simulateExecution(const Architecture& arch, const TileGrid& grid,
             sets.push_back({cold_rows[p].data(), pw.cols.data(),
                             pw.vals.data(), pw.cols.size()});
         }
-        for (const auto& tiles : hot_work.panel_tiles)
+        for (const auto& tiles : hot_class.work.panel_tiles)
             for (size_t tid : tiles)
                 sets.push_back({grid.tileRows(tid).data(),
                                 grid.tileCols(tid).data(),

@@ -57,11 +57,12 @@ struct SimConfig
     const FaultPlan* faults = nullptr;
 
     /**
-     * Optional shared work-list cache (see sim/worklist.hpp).  When
-     * set, per-class work lists are taken from (and published to) the
-     * cache instead of rebuilt, so concurrent strategy simulations on
-     * the same grid share one build per distinct tile set.  The cache
-     * must outlive the simulation and serve only this grid.
+     * Optional shared memo of simulation setup (see sim/work_cache.hpp).
+     * Each class's work list, shares and segment lists are taken from
+     * (and published to) this memo instead of a private one, so
+     * simulations on the same grid share one build per distinct tile
+     * set.  The memo must outlive the simulation and serve only this
+     * grid, architecture and kernel.
      */
     WorkListCache* work_cache = nullptr;
 };

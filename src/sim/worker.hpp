@@ -16,8 +16,9 @@
  *     (double buffering) for the streaming Sextans/STP workers.
  *
  * What distinguishes the PE types is how their segment lists are built
- * (see spade_pe / sextans_pe / piuma_mtp / piuma_stp), which encodes
- * their traversal order, formats, caches, and scratchpad streaming.
+ * (sim/demand_pe for SPADE PEs and PIUMA MTPs, sim/stream_pe for Sextans
+ * PEs and PIUMA STPs), which encodes their traversal order, formats,
+ * caches, and scratchpad streaming.
  */
 
 #include <cstdint>

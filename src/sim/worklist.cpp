@@ -8,17 +8,8 @@
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/thread_pool.hpp"
-#include "sim/segment_cache.hpp"
 
 namespace hottiles {
-
-// Out of line: SegmentBuildCache is only forward-declared in the header.
-WorkListCache::WorkListCache()
-    : segments_(std::make_unique<SegmentBuildCache>())
-{
-}
-
-WorkListCache::~WorkListCache() = default;
 
 UntiledWork
 buildUntiledWork(const TileGrid& grid, const std::vector<size_t>& tile_ids)
@@ -132,57 +123,6 @@ balancedShares(const std::vector<uint64_t>& loads, uint32_t count)
     for (auto& s : shares)
         std::sort(s.begin(), s.end());
     return shares;
-}
-
-template <typename Work, typename Build>
-const Work&
-WorkListCache::getOrBuild(std::map<std::vector<size_t>, Slot<Work>>& map,
-                          const TileGrid& grid,
-                          const std::vector<size_t>& tile_ids, Build&& build)
-{
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!grid_)
-        grid_ = &grid;
-    HT_ASSERT(grid_ == &grid, "a WorkListCache serves exactly one grid");
-    auto [it, inserted] = map.try_emplace(tile_ids);
-    if (!inserted) {
-        ++hits_;
-        cv_.wait(lock, [&] { return it->second.ready; });
-        return it->second.work;
-    }
-    // Build outside the lock: concurrent requests for *other* keys must
-    // not serialize behind this one.  (The nested parallelFor runs
-    // inline when called from a pool worker, so waiting on the
-    // condition variable above cannot deadlock the pool.)
-    lock.unlock();
-    Work w = build();
-    lock.lock();
-    it->second.work = std::move(w);
-    it->second.ready = true;
-    cv_.notify_all();
-    return it->second.work;
-}
-
-const UntiledWork&
-WorkListCache::untiled(const TileGrid& grid,
-                       const std::vector<size_t>& tile_ids)
-{
-    return getOrBuild(untiled_, grid, tile_ids,
-                      [&] { return buildUntiledWork(grid, tile_ids); });
-}
-
-const TiledWork&
-WorkListCache::tiled(const TileGrid& grid, const std::vector<size_t>& tile_ids)
-{
-    return getOrBuild(tiled_, grid, tile_ids,
-                      [&] { return buildTiledWork(grid, tile_ids); });
-}
-
-size_t
-WorkListCache::hits() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return hits_;
 }
 
 } // namespace hottiles

@@ -10,18 +10,12 @@
  * (Fig 6(b)).
  */
 
-#include <condition_variable>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "sparse/tiling.hpp"
 
 namespace hottiles {
-
-class SegmentBuildCache;
 
 /**
  * One row panel's share of an untiled worker's matrix subset, as a
@@ -74,58 +68,5 @@ TiledWork buildTiledWork(const TileGrid& grid,
  */
 std::vector<std::vector<size_t>> balancedShares(
     const std::vector<uint64_t>& loads, uint32_t count);
-
-/**
- * Concurrency-safe memoization of work-list builds keyed by the tile-id
- * list.  evaluateMatrix simulates four strategies in parallel and they
- * largely share work lists (HotOnly and a mostly-hot partition both
- * need the all-hot TiledWork), so the first requester builds and the
- * rest wait for the published result.  A cache instance serves exactly
- * one grid.  References stay valid for the cache's lifetime (node-based
- * map, values never erased).
- */
-class WorkListCache
-{
-  public:
-    WorkListCache();
-    ~WorkListCache();
-
-    const UntiledWork& untiled(const TileGrid& grid,
-                               const std::vector<size_t>& tile_ids);
-    const TiledWork& tiled(const TileGrid& grid,
-                           const std::vector<size_t>& tile_ids);
-
-    /**
-     * The downstream cache for per-worker-class segment builds (see
-     * sim/segment_cache.hpp).  Rides along with the work-list cache so
-     * one SimConfig::work_cache pointer shares both layers; bound by
-     * the same one-grid (and one-architecture, one-kernel) contract.
-     */
-    SegmentBuildCache& segments() { return *segments_; }
-
-    /** Requests served from a published (or in-flight) build. */
-    size_t hits() const;
-
-  private:
-    template <typename Work>
-    struct Slot
-    {
-        bool ready = false;
-        Work work;
-    };
-    template <typename Work, typename Build>
-    const Work& getOrBuild(std::map<std::vector<size_t>, Slot<Work>>& map,
-                           const TileGrid& grid,
-                           const std::vector<size_t>& tile_ids,
-                           Build&& build);
-
-    mutable std::mutex mu_;
-    std::condition_variable cv_;
-    const TileGrid* grid_ = nullptr;
-    size_t hits_ = 0;
-    std::map<std::vector<size_t>, Slot<UntiledWork>> untiled_;
-    std::map<std::vector<size_t>, Slot<TiledWork>> tiled_;
-    std::unique_ptr<SegmentBuildCache> segments_;  //!< see segments()
-};
 
 } // namespace hottiles

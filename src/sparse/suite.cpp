@@ -2,6 +2,7 @@
 
 #include "common/error.hpp"
 #include "sparse/generators.hpp"
+#include "sparse/matrix_market.hpp"
 
 namespace hottiles {
 
@@ -126,6 +127,14 @@ makeSuiteMatrix(std::string_view name)
     if (!e)
         HT_FATAL("unknown suite matrix '", std::string(name), "'");
     return makeSuiteMatrix(*e);
+}
+
+CooMatrix
+matrixFromHandle(const std::string& handle)
+{
+    if (!handle.empty() && handle[0] == '@')
+        return makeSuiteMatrix(std::string_view(handle).substr(1));
+    return readMatrixMarketFile(handle);
 }
 
 } // namespace hottiles

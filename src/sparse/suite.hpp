@@ -51,4 +51,11 @@ CooMatrix makeSuiteMatrix(const SuiteEntry& entry);
 /** Generate by short name. @throws FatalError for unknown names. */
 CooMatrix makeSuiteMatrix(std::string_view name);
 
+/**
+ * The matrix a CLI argument or a wire `matrix=` handle names: `@name`
+ * is a suite proxy, anything else a MatrixMarket path.
+ * @throws FatalError for an unknown proxy or an unreadable file.
+ */
+CooMatrix matrixFromHandle(const std::string& handle);
+
 } // namespace hottiles

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "arch/arch_config.hpp"
+#include "common/error.hpp"
 
 using namespace hottiles;
 
@@ -24,6 +25,24 @@ TEST(Arch, TableIvScalesMatchPaper)
         EXPECT_EQ(a.hot.scratchpad_bytes, uint64_t(32) * 1024 * s);
     }
     EXPECT_DEATH(makeSpadeSextans(3), "scales");
+}
+
+TEST(Arch, SpecNamesOneArchitecture)
+{
+    EXPECT_EQ(architectureFromSpec("spade-sextans").name,
+              makeSpadeSextans(4).name);
+    EXPECT_EQ(architectureFromSpec("SPADE-Sextans:2").name,
+              makeSpadeSextans(2).name);
+    EXPECT_EQ(architectureFromSpec("pcie").name, makeSpadeSextansPcie().name);
+    EXPECT_EQ(architectureFromSpec("piuma").name, makePiuma().name);
+    // Junk is an error, never a silent default; a scale that Table IV
+    // lacks is an error, never the factory's abort.
+    for (const char* bad :
+         {"spade-sextans:4x", "spade-sextans:4:junk", "spade-sextans:",
+          "spade-sextans:0", "spade-sextans:3", "spade-sextans:16",
+          "spade-sextans:257", "spade-sextans:-4", "spade-sextans: 4",
+          "piuma:2", "pcie:", "warp-drive", ""})
+        EXPECT_THROW(architectureFromSpec(bad), FatalError) << bad;
 }
 
 TEST(Arch, WorkerRolesAndReuse)

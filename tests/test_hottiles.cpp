@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <utility>
+
 #include "core/calibrate.hpp"
 #include "core/hottiles.hpp"
 #include "sparse/generators.hpp"
@@ -25,6 +28,37 @@ TEST(Calibrate, SetsPositiveVisLatAndCaches)
     EXPECT_DOUBLE_EQ(c1.hot_vis_lat, c2.hot_vis_lat);
     EXPECT_DOUBLE_EQ(c1.cold_vis_lat, c2.cold_vis_lat);
     EXPECT_DOUBLE_EQ(again.hot.vis_lat, arch.hot.vis_lat);
+}
+
+TEST(Calibrate, ConcurrentFirstUseSharesOneCalibration)
+{
+    // Two first users at once, as two requests of a fresh plan service
+    // make them: the memo must neither race nor change the result.
+    auto named = [](Architecture a, const char* name) {
+        a.name = name;
+        return a;
+    };
+    Architecture a = named(makePiuma(), "piuma (concurrent)");
+    Architecture b = named(makeSpadeSextans(2), "spade:2 (concurrent)");
+    ArchCalibration ca;
+    ArchCalibration cb;
+    std::thread ta([&] { ca = calibrateArchitecture(a); });
+    std::thread tb([&] { cb = calibrateArchitecture(b); });
+    ta.join();
+    tb.join();
+
+    Architecture sa = named(makePiuma(), "piuma (serial)");
+    Architecture sb = named(makeSpadeSextans(2), "spade:2 (serial)");
+    const ArchCalibration ra = calibrateArchitecture(sa);
+    const ArchCalibration rb = calibrateArchitecture(sb);
+    for (auto [got, want] : {std::pair{&ca, &ra}, std::pair{&cb, &rb}}) {
+        EXPECT_EQ(got->hot_vis_lat, want->hot_vis_lat);
+        EXPECT_EQ(got->cold_vis_lat, want->cold_vis_lat);
+        EXPECT_EQ(got->hot_error, want->hot_error);
+        EXPECT_EQ(got->cold_error, want->cold_error);
+    }
+    EXPECT_EQ(a.hot.vis_lat, sa.hot.vis_lat);
+    EXPECT_EQ(b.cold.vis_lat, sb.cold.vis_lat);
 }
 
 TEST(Calibrate, ColdSlowerPortMeansHigherVisLat)

@@ -128,6 +128,17 @@ TEST(Totals, RawTotalsAreSimpleSums)
     EXPECT_DOUBLE_EQ(t.bc_total, 0.0);
 }
 
+TEST(Totals, HotShareSplitsPredictedTime)
+{
+    AssignmentTotals t;
+    EXPECT_EQ(t.hotShare(), 0.0);  // no work, no share (never NaN)
+    t.th_total = 3;
+    t.tc_total = 1;
+    EXPECT_DOUBLE_EQ(t.hotShare(), 0.75);
+    t.tc_total = 0;
+    EXPECT_DOUBLE_EQ(t.hotShare(), 1.0);
+}
+
 TEST(Totals, DemandDoutNeedsNoReadjustment)
 {
     // Both fixture workers use demand Dout: readjusted == raw.

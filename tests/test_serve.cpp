@@ -659,9 +659,18 @@ TEST(ServeService, BadInputsErrorCleanly)
     ServeReply reply = service.call(req);
     EXPECT_EQ(reply.status, ServeStatus::Error);
     EXPECT_EQ(reply.detail, "bad-input");
-    ServeRequest req2 = runRequest(testMatrix(1), 2);
-    req2.arch = "warp-drive:9000";
-    EXPECT_EQ(service.call(req2).status, ServeStatus::Error);
+    // Junk after a known name is rejected too, before it can reach the
+    // calibration memo or the plan cache under a key of its own; a scale
+    // outside Table IV is an error, not the factory's abort.
+    uint64_t id = 2;
+    for (const char* arch : {"warp-drive:9000", "spade-sextans:4x",
+                             "spade-sextans:4:junk", "spade-sextans:3"}) {
+        ServeRequest bad = runRequest(testMatrix(1), id++);
+        bad.arch = arch;
+        const ServeReply r = service.call(bad);
+        EXPECT_EQ(r.status, ServeStatus::Error) << arch;
+        EXPECT_EQ(r.detail, "bad-input") << arch;
+    }
     service.stop();
 }
 

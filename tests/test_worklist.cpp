@@ -4,10 +4,11 @@
 
 #include <algorithm>
 #include <numeric>
+#include <thread>
 
-#include "sim/segment_cache.hpp"
+#include "common/metrics.hpp"
 #include "sim/simulator.hpp"
-#include "sim/worklist.hpp"
+#include "sim/work_cache.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/generators.hpp"
 
@@ -247,74 +248,127 @@ TEST(BalancedShares, CoversEveryItemOnce)
 TEST(WorkListCache, BuildsOnceAndCountsHits)
 {
     CooMatrix m = genUniform(128, 128, 1000, 36);
+    Architecture arch = makeSpadeSextans(4);
     TileGrid g(m, 32, 32);
+    KernelConfig kernel;
     std::vector<size_t> ids = allTiles(g);
 
     WorkListCache cache;
-    const UntiledWork& a = cache.untiled(g, ids);
-    const UntiledWork& b = cache.untiled(g, ids);
+    const ColdClassBuild& a = cache.cold(arch, g, kernel, ids);
+    const ColdClassBuild& b = cache.cold(arch, g, kernel, ids);
     EXPECT_EQ(&a, &b);  // same published instance, not a rebuild
     EXPECT_EQ(cache.hits(), 1u);
-    EXPECT_EQ(a.total_nnz, m.nnz());
+    EXPECT_EQ(a.work.total_nnz, m.nnz());
+    ASSERT_EQ(a.shares.size(), arch.cold.count);
+    uint64_t seg_nnz = 0;
+    for (const DemandBuild& d : a.builds)
+        seg_nnz += d.nnz;
+    EXPECT_EQ(seg_nnz, m.nnz());  // the entry holds the segment builds
 
-    // Different kind or different tile set -> separate entries.
-    const TiledWork& t = cache.tiled(g, ids);
-    EXPECT_EQ(t.total_nnz, m.nnz());
+    // The other class or another tile set -> separate entries; an empty
+    // tile set has no shares.
+    const HotClassBuild& t = cache.hot(arch, g, kernel, ids);
+    EXPECT_EQ(t.work.total_nnz, m.nnz());
+    ASSERT_EQ(t.shares.size(), arch.hot.count);
+    EXPECT_TRUE(cache.cold(arch, g, kernel, {}).shares.empty());
     std::vector<size_t> subset(ids.begin(), ids.begin() + ids.size() / 2);
-    const UntiledWork& c = cache.untiled(g, subset);
+    const ColdClassBuild& c = cache.cold(arch, g, kernel, subset);
     EXPECT_NE(&a, &c);
     EXPECT_EQ(cache.hits(), 1u);
 
     // Cached results are bit-identical to a direct build.
     UntiledWork direct = buildUntiledWork(g, subset);
-    ASSERT_EQ(c.panels.size(), direct.panels.size());
-    for (size_t p = 0; p < c.panels.size(); ++p) {
-        EXPECT_EQ(c.panels[p].row_ptr, direct.panels[p].row_ptr);
-        EXPECT_EQ(c.panels[p].cols, direct.panels[p].cols);
-        EXPECT_EQ(c.panels[p].vals, direct.panels[p].vals);
+    ASSERT_EQ(c.work.panels.size(), direct.panels.size());
+    for (size_t p = 0; p < c.work.panels.size(); ++p) {
+        EXPECT_EQ(c.work.panels[p].row_ptr, direct.panels[p].row_ptr);
+        EXPECT_EQ(c.work.panels[p].cols, direct.panels[p].cols);
+        EXPECT_EQ(c.work.panels[p].vals, direct.panels[p].vals);
     }
 }
 
-TEST(SegmentBuildCache, BuildsOncePerTileSet)
+TEST(WorkListCache, ConcurrentRequestsBuildOnce)
 {
+    CooMatrix m = genRmat(512, 8000, 0.57, 0.19, 0.19, 0.05, 78);
+    Architecture arch = makeSpadeSextans(4);
+    TileGrid g(m, 64, 64);
+    KernelConfig kernel;
+    const std::vector<size_t> ids = allTiles(g);
+    const TimerMetric& untiled =
+        MetricsRegistry::global().timer("format.untiled_build");
+    const uint64_t builds0 = untiled.snapshot().count();
+
     WorkListCache cache;
-    SegmentBuildCache& segs = cache.segments();
-    int cold_builds = 0;
-    std::vector<size_t> ids{0, 1, 2};
-
-    auto build = [&] {
-        ++cold_builds;
-        ColdClassBuild cb;
-        cb.shares = {{0, 1}, {2}};
-        cb.builds.resize(2);
-        cb.builds[0].nnz = 7;
-        return cb;
-    };
-    const ColdClassBuild& a = segs.cold(ids, build);
-    const ColdClassBuild& b = segs.cold(ids, build);
-    EXPECT_EQ(&a, &b);  // same published instance, not a rebuild
-    EXPECT_EQ(cold_builds, 1);
-    EXPECT_EQ(segs.hits(), 1u);
-    EXPECT_EQ(a.builds[0].nnz, 7u);
-
-    // A different tile set (and the hot-class map) are separate entries.
-    const ColdClassBuild& c = segs.cold({0, 1}, build);
-    EXPECT_NE(&a, &c);
-    EXPECT_EQ(cold_builds, 2);
-    segs.hot(ids, [] {
-        HotClassBuild hb;
-        hb.shares = {{0}};
-        hb.builds.resize(1);
-        return hb;
-    });
-    EXPECT_EQ(segs.hits(), 1u);
+    constexpr size_t kThreads = 8;
+    std::vector<const ColdClassBuild*> got(kThreads, nullptr);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t)
+        threads.emplace_back(
+            [&, t] { got[t] = &cache.cold(arch, g, kernel, ids); });
+    for (std::thread& th : threads)
+        th.join();
+    EXPECT_EQ(untiled.snapshot().count() - builds0, 1u);
+    for (const ColdClassBuild* p : got)
+        EXPECT_EQ(p, got[0]);  // one published entry
+    EXPECT_EQ(cache.hits(), kThreads - 1);
+    EXPECT_EQ(got[0]->work.total_nnz, m.nnz());
 }
 
-TEST(SegmentBuildCache, SimulationStatsMatchUncachedRun)
+namespace {
+
+void
+expectSameStats(const SimStats& a, const SimStats& b)
 {
-    // The segment builds served from the cache must produce the exact
-    // simulation the per-run local builds produce, for every strategy
-    // shape (all-cold, all-hot, mixed) sharing one cache.
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.cold_finish, b.cold_finish);
+    EXPECT_EQ(a.hot_finish, b.hot_finish);
+    EXPECT_EQ(a.cold_cache_hits, b.cold_cache_hits);
+    EXPECT_EQ(a.cold_cache_misses, b.cold_cache_misses);
+    EXPECT_EQ(a.events_processed, b.events_processed);
+    EXPECT_EQ(a.batched_events, b.batched_events);
+}
+
+} // namespace
+
+TEST(WorkListCache, OneTileSetBuildsOnceAcrossSimulations)
+{
+    // An all-cold HotTiles plan (del's is MinTime Serial with 0% hot
+    // tiles) and ColdOnly ask one memo for the same classes: the second
+    // simulation builds neither work list nor segments.
+    CooMatrix m = genRmat(256, 4000, 0.57, 0.19, 0.19, 0.05, 79);
+    Architecture arch = makeSpadeSextans(4);
+    TileGrid g(m, arch.tile_height, arch.tile_width);
+    KernelConfig kernel;
+    MetricsRegistry& reg = MetricsRegistry::global();
+    auto builds = [&] {
+        return reg.timer("format.untiled_build").snapshot().count() +
+               reg.timer("format.tiled_build").snapshot().count();
+    };
+    const uint64_t builds0 = builds();
+
+    WorkListCache cache;
+    SimConfig cfg;
+    cfg.work_cache = &cache;
+    const std::vector<uint8_t> all_cold(g.numTiles(), 0);
+    const SimStats plan =
+        simulateExecution(arch, g, all_cold, /*serial=*/true, kernel, cfg)
+            .stats;
+    EXPECT_EQ(builds() - builds0, 2u);  // the cold and the empty hot class
+    EXPECT_EQ(cache.hits(), 0u);
+    const SimStats cold_only =
+        simulateHomogeneous(arch, g, /*hot=*/false, kernel, cfg).stats;
+    EXPECT_EQ(builds() - builds0, 2u);
+    EXPECT_EQ(cache.hits(), 2u);
+
+    expectSameStats(plan, cold_only);
+    expectSameStats(cold_only,
+                    simulateHomogeneous(arch, g, /*hot=*/false, kernel).stats);
+}
+
+TEST(WorkListCache, SimulationStatsMatchPrivateMemo)
+{
+    // Builds served from a shared memo must produce the exact
+    // simulation that a private memo produces, for every strategy shape
+    // (all-cold, all-hot, mixed) sharing one memo.
     CooMatrix m = genRmat(256, 4000, 0.57, 0.19, 0.19, 0.05, 77);
     Architecture arch = makeSpadeSextans(4);
     TileGrid g(m, arch.tile_height, arch.tile_width);
@@ -330,28 +384,20 @@ TEST(SegmentBuildCache, SimulationStatsMatchUncachedRun)
 
     WorkListCache cache;
     for (const auto& is_hot : plans) {
-        SimConfig cached_cfg;
-        cached_cfg.work_cache = &cache;
-        SimStats cached = simulateExecution(arch, g, is_hot, false, kernel,
-                                            cached_cfg)
+        SimConfig shared_cfg;
+        shared_cfg.work_cache = &cache;
+        SimStats shared = simulateExecution(arch, g, is_hot, false, kernel,
+                                            shared_cfg)
                               .stats;
-        // Run the cached config twice so the second run is served
+        // Run the shared config twice so the second run is served
         // entirely from published builds.
         SimStats warm = simulateExecution(arch, g, is_hot, false, kernel,
-                                          cached_cfg)
+                                          shared_cfg)
                             .stats;
-        SimStats local = simulateExecution(arch, g, is_hot, false, kernel,
-                                           SimConfig{})
-                             .stats;
-        for (const SimStats* s : {&cached, &warm}) {
-            EXPECT_EQ(s->cycles, local.cycles);
-            EXPECT_EQ(s->cold_finish, local.cold_finish);
-            EXPECT_EQ(s->hot_finish, local.hot_finish);
-            EXPECT_EQ(s->cold_cache_hits, local.cold_cache_hits);
-            EXPECT_EQ(s->cold_cache_misses, local.cold_cache_misses);
-            EXPECT_EQ(s->events_processed, local.events_processed);
-            EXPECT_EQ(s->batched_events, local.batched_events);
-        }
+        SimStats own =
+            simulateExecution(arch, g, is_hot, false, kernel).stats;
+        expectSameStats(shared, own);
+        expectSameStats(warm, own);
     }
-    EXPECT_GT(cache.segments().hits(), 0u);
+    EXPECT_GT(cache.hits(), 0u);
 }

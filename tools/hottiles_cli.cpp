@@ -59,7 +59,7 @@
  *                path, but peak RSS excludes the O(nnz) input arrays
  *   --panel-rows N  `.htb` panel height written by convert (default 256;
  *                match the tile height the consumer will use)
- *   --arch spade-sextans[:SCALE] | pcie | piuma   (default spade-sextans:4)
+ *   --arch spade-sextans[:1|2|4|8] | pcie | piuma (default spade-sextans:4)
  *   --kernel spmm|spmv|sddmm                      (default spmm)
  *   --k N        dense width                      (default 32)
  *   --ai X       gSpMM arithmetic intensity       (default 1)
@@ -154,7 +154,7 @@ struct Options
 {
     std::string command;
     std::string matrix;
-    std::string arch_name = "spade-sextans:4";
+    Architecture arch = makeSpadeSextans(4);
     std::string kernel_name = "spmm";
     uint32_t k = 32;
     double ai = 1.0;
@@ -302,7 +302,7 @@ parseArgs(int argc, char** argv)
     while (i < argc) {
         std::string a = argv[i++];
         if (a == "--arch")
-            o.arch_name = next("--arch");
+            o.arch = architectureFromSpec(next("--arch"));
         else if (a == "--kernel")
             o.kernel_name = next("--kernel");
         else if (a == "--k")
@@ -419,26 +419,7 @@ parseArgs(int argc, char** argv)
 Architecture
 makeArch(const Options& o)
 {
-    auto parts = splitChar(o.arch_name, ':');
-    std::string base = toLower(parts[0]);
-    Architecture arch;
-    if (base == "spade-sextans") {
-        int scale = 4;
-        if (parts.size() > 1) {
-            uint64_t s = parseU64Arg(std::string(parts[1]), "--arch scale");
-            HT_FATAL_IF(s == 0 || s > 256,
-                        "--arch scale must be in [1, 256]");
-            scale = static_cast<int>(s);
-        }
-        arch = makeSpadeSextans(scale);
-    } else if (base == "pcie") {
-        arch = makeSpadeSextansPcie();
-    } else if (base == "piuma") {
-        arch = makePiuma();
-    } else {
-        HT_FATAL("unknown architecture '", o.arch_name,
-                 "' (try spade-sextans[:1|2|4|8], pcie, piuma)");
-    }
+    Architecture arch = o.arch;
     if (o.tile > 0) {
         arch.tile_height = o.tile;
         arch.tile_width = o.tile;
@@ -465,14 +446,6 @@ makeKernel(const Options& o)
     return kc;
 }
 
-CooMatrix
-loadMatrix(const Options& o)
-{
-    if (!o.matrix.empty() && o.matrix[0] == '@')
-        return makeSuiteMatrix(o.matrix.substr(1));
-    return readMatrixMarketFile(o.matrix);
-}
-
 int
 cmdSuite()
 {
@@ -495,7 +468,7 @@ cmdSuite()
 int
 cmdAnalyze(const Options& o)
 {
-    CooMatrix m = loadMatrix(o);
+    CooMatrix m = matrixFromHandle(o.matrix);
     Architecture arch = calibrated(makeArch(o));
     KernelConfig kernel = makeKernel(o);
 
@@ -540,7 +513,7 @@ makeHotTiles(const Options& o, const Architecture& arch,
         MappedMatrix mapped(o.matrix);
         return std::make_unique<HotTiles>(arch, mapped, opts);
     }
-    CooMatrix m = loadMatrix(o);
+    CooMatrix m = matrixFromHandle(o.matrix);
     return std::make_unique<HotTiles>(arch, m, opts);
 }
 
@@ -623,7 +596,7 @@ writeMetricsTo(const std::string& dest)
 int
 cmdSimulate(const Options& o)
 {
-    CooMatrix m = loadMatrix(o);
+    CooMatrix m = matrixFromHandle(o.matrix);
     Architecture arch = calibrated(makeArch(o));
     HotTilesOptions opts;
     opts.kernel = makeKernel(o);
@@ -788,10 +761,7 @@ cmdRun(const Options& o)
         eo.fail_class = o.fail_class;
         eo.fail_after_tasks = o.fail_after;
     }
-    AssignmentTotals totals = assignmentTotals(ht.context(), p.is_hot);
-    if (totals.th_total + totals.tc_total > 0)
-        eo.hot_share_hint =
-            totals.th_total / (totals.th_total + totals.tc_total);
+    eo.hot_share_hint = assignmentTotals(ht.context(), p.is_hot).hotShare();
     auto backend = exec::makeNativeCpuBackend(eo);
 
     DenseMatrix din(grid.matrixCols(), opts.kernel.k);
@@ -931,7 +901,7 @@ cmdServe(const Options& o)
 int
 cmdUpdate(const Options& o)
 {
-    CooMatrix m = loadMatrix(o);
+    CooMatrix m = matrixFromHandle(o.matrix);
     Architecture arch = calibrated(makeArch(o));
     HotTilesOptions opts;
     opts.kernel = makeKernel(o);
@@ -1048,7 +1018,7 @@ cmdConvert(const Options& o)
 int
 cmdExplore(const Options& o)
 {
-    CooMatrix m = loadMatrix(o);
+    CooMatrix m = matrixFromHandle(o.matrix);
     auto pts = exploreIsoScale(m, o.total, makeKernel(o));
     Table t({"Design", "Predicted cycles", "Simulated cycles"});
     for (const auto& pt : pts)
