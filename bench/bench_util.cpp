@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -26,7 +27,9 @@ namespace hottiles::bench {
 namespace {
 
 bool g_smoke = false;
-double g_spin_before = 0;  //!< a full run's host probe before its rounds
+/** A full run's host probe, taken when its first Runner starts its
+ *  rounds; NaN (written as null) until then. */
+double g_spin_before = std::numeric_limits<double>::quiet_NaN();
 
 constexpr const char* kSharedUsage =
     "shared bench flags:\n"
@@ -104,9 +107,6 @@ init(int* argc, char** argv)
         }
     }
     *argc = out;
-    if (!g_smoke)  // the spin probe costs about a second
-        g_spin_before = perfbench::spinParallelism(
-            std::max(1u, std::thread::hardware_concurrency()));
 }
 
 bool
@@ -268,6 +268,11 @@ Runner::add(std::function<Sample()> cell)
 void
 Runner::run(const std::function<void(unsigned)>& before_round)
 {
+    // The spin probe costs about a second, so only a full run's first
+    // rounds pay it.
+    if (!g_smoke && std::isnan(g_spin_before))
+        g_spin_before = perfbench::spinParallelism(
+            std::max(1u, std::thread::hardware_concurrency()));
     samples_.assign(cells_.size(), {});
     for (unsigned r = 0; r <= rounds(); ++r) {
         if (before_round)

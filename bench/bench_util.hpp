@@ -36,8 +36,6 @@ namespace hottiles::bench {
  *                 binary exercises its full code path in seconds.
  *   --threads N   thread-pool size (same as the CLI flag); anything
  *                 but a positive integer is a usage error (exit 2).
- * A full run (no --smoke) then probes the host's spin parallelism, which
- * writeReport records as `spin_parallelism_before`.
  * Call first thing in main().
  */
 void init(int* argc, char** argv);
@@ -132,7 +130,10 @@ Budget repeatFor(double min_ms, int max_reps,
  * Samples cells that are compared with each other, interleaved: one
  * untimed warm-up call per cell, then rounds() rounds, round r visiting
  * every cell once starting at cell r mod n, so each cell runs in every
- * position and a slow spell of the host hits all cells alike.
+ * position and a slow spell of the host hits all cells alike.  The
+ * first Runner of a full run (no --smoke) probes the host's spin
+ * parallelism before its warm-up; writeReport records it as
+ * `spin_parallelism_before`.
  */
 class Runner
 {
@@ -203,8 +204,9 @@ std::string defaultOut(const std::string& name);
 
 /** Write a result file: `schema` (hottiles.bench_<name>.v2), `smoke`,
  *  the `host` block (nproc and build facts, plus in a full run the
- *  spin parallelism measured by init() before the rounds and again
- *  here after them), the `metrics` registry snapshot,
+ *  spin parallelism the first Runner measured before its rounds, null
+ *  when none ran, and again here after them), the `metrics` registry
+ *  snapshot,
  *  @p summary's fields and @p results. */
 void writeReport(const std::string& path, const std::string& name,
                  const Row& summary, const std::vector<Row>& results);

@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
+#include <utility>
 
 namespace hottiles {
 
@@ -22,7 +23,10 @@ inline constexpr std::size_t kDenseAlign = 64;
 
 /**
  * Minimal std::allocator drop-in returning @p Align-aligned memory.
- * Propagates through std::vector; equality is stateless.
+ * Propagates through std::vector; equality is stateless.  Construction
+ * without arguments default-initializes, so `std::vector<T, A>(n)`
+ * leaves trivial elements uninitialized (DenseMatrix::uninitialized);
+ * a value-filling constructor still writes every element.
  */
 template <typename T, std::size_t Align = kDenseAlign>
 class AlignedAllocator
@@ -51,6 +55,17 @@ class AlignedAllocator
     void deallocate(T* p, std::size_t) noexcept
     {
         ::operator delete(p, kAlign);
+    }
+
+    template <typename U>
+    void construct(U* p)
+    {
+        ::new (static_cast<void*>(p)) U;
+    }
+    template <typename U, typename... Args>
+    void construct(U* p, Args&&... args)
+    {
+        ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
     }
 
     friend bool operator==(const AlignedAllocator&, const AlignedAllocator&)

@@ -23,22 +23,6 @@ gridBytes(const TileGrid& g)
            g.matrixNnz() * (2 * sizeof(Index) + sizeof(Value));
 }
 
-size_t
-formatsBytes(const ResidentFormats& f)
-{
-    size_t b = f.is_hot.capacity() +
-               f.hot.panel_ids.capacity() * sizeof(Index) +
-               f.hot.panel_tiles.capacity() * sizeof(f.hot.panel_tiles[0]) +
-               f.cold.panels.capacity() * sizeof(PanelWork);
-    for (const auto& tiles : f.hot.panel_tiles)
-        b += tiles.capacity() * sizeof(size_t);
-    for (const PanelWork& p : f.cold.panels)
-        b += p.row_ptr.capacity() * sizeof(size_t) +
-             p.cols.capacity() * sizeof(Index) +
-             p.vals.capacity() * sizeof(Value);
-    return b;
-}
-
 /** Move the process-wide resident total (every store's bytes) by
  *  @p delta and publish it as the serve.resident_bytes gauge. */
 void
@@ -80,7 +64,7 @@ struct ResidentMatrix::Shape
     bool has_fp = false;
     PlanFingerprint fp;
     std::unique_ptr<const TileGrid> grid;
-    std::shared_ptr<const ResidentFormats> formats;
+    std::shared_ptr<const exec::CompiledPlan> plan;
 };
 
 ResidentMatrix::ResidentMatrix(ResidentStore& store, Key key,
@@ -146,22 +130,18 @@ ResidentMatrix::grid(Index tile_h, Index tile_w)
     return gridLocked(s);
 }
 
-std::shared_ptr<const ResidentFormats>
-ResidentMatrix::formats(Index tile_h, Index tile_w, const Partition& part)
+std::shared_ptr<const exec::CompiledPlan>
+ResidentMatrix::plan(Index tile_h, Index tile_w, const Partition& part)
 {
     Shape& s = shape(tile_h, tile_w);
     std::lock_guard<std::mutex> lock(s.mu);
     const TileGrid& g = gridLocked(s);
-    if (s.formats && s.formats->is_hot == part.is_hot)
-        return s.formats;
-    auto f = std::make_shared<ResidentFormats>();
-    f->is_hot = part.is_hot;
-    f->hot = buildTiledWork(g, part.hotTiles());
-    f->cold = buildUntiledWork(g, part.coldTiles());
-    const ptrdiff_t old = s.formats ? ptrdiff_t(formatsBytes(*s.formats)) : 0;
-    s.formats = std::move(f);
-    store_.charge(*this, ptrdiff_t(formatsBytes(*s.formats)) - old);
-    return s.formats;
+    if (s.plan && s.plan->isHot() == part.is_hot)
+        return s.plan;
+    const ptrdiff_t old = s.plan ? ptrdiff_t(s.plan->bytes()) : 0;
+    s.plan = exec::compile(g, part);
+    store_.charge(*this, ptrdiff_t(s.plan->bytes()) - old);
+    return s.plan;
 }
 
 ResidentStore::ResidentStore(size_t budget_bytes) : budget_(budget_bytes) {}

@@ -12,8 +12,9 @@
  *   - the structural fingerprint (serve/fingerprint.hpp), which Plan and
  *     Run both key the plan cache with;
  *   - the TileGrid, built by the handle's first Run (or degraded Plan);
- *   - the worker formats of the last partition executed on that grid,
- *     reused only by a partition whose is_hot matches byte for byte.
+ *   - the compiled plan (exec::CompiledPlan: worker formats, tasks and
+ *     joins) of the last partition executed on that grid, reused only
+ *     by a partition whose is_hot matches byte for byte.
  * Each is built once, by the first request that needs it; concurrent
  * requests for the same handle wait for that build (single flight).
  *
@@ -23,12 +24,12 @@
  * matrix, or a new one built at the same address, never meets a stale
  * entry.
  *
- * Budget.  Resident bytes — loaded wire matrices, grids and formats,
- * plus a fixed charge per entry — are capped by a byte budget with LRU
- * eviction.  An evicted entry stays alive for every request still
- * holding it; later requests just no longer find it.  Residency is
- * reported through the metrics registry only: the serve.resident_bytes
- * gauge (summed over the process's stores) and the
+ * Budget.  Resident bytes — loaded wire matrices, grids and compiled
+ * plans, plus a fixed charge per entry — are capped by a byte budget
+ * with LRU eviction.  An evicted entry stays alive for every request
+ * still holding it; later requests just no longer find it.  Residency
+ * is reported through the metrics registry only: the
+ * serve.resident_bytes gauge (summed over the process's stores) and the
  * serve.resident.{hit,miss,evict} counters.
  *
  * Thread-safety: every public method is safe to call concurrently.
@@ -44,21 +45,13 @@
 #include <utility>
 #include <vector>
 
+#include "exec/backend.hpp"
 #include "partition/partition.hpp"
 #include "serve/fingerprint.hpp"
-#include "sim/worklist.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/tiling.hpp"
 
 namespace hottiles::serve {
-
-/** The worker formats of one partition on a resident grid. */
-struct ResidentFormats
-{
-    std::vector<uint8_t> is_hot;  //!< the partition they were built for
-    TiledWork hot;
-    UntiledWork cold;
-};
 
 class ResidentStore;
 
@@ -78,11 +71,11 @@ class ResidentMatrix
     /** The tile grid under @p tile_h x @p tile_w. */
     const TileGrid& grid(Index tile_h, Index tile_w);
 
-    /** Worker formats of @p part on grid(@p tile_h, @p tile_w): the
-     *  resident ones when their is_hot equals part.is_hot, else built
-     *  and kept in their place. */
-    std::shared_ptr<const ResidentFormats>
-    formats(Index tile_h, Index tile_w, const Partition& part);
+    /** The compiled plan of @p part on grid(@p tile_h, @p tile_w): the
+     *  resident one when its is_hot equals part.is_hot, else compiled
+     *  and kept in its place. */
+    std::shared_ptr<const exec::CompiledPlan>
+    plan(Index tile_h, Index tile_w, const Partition& part);
 
   private:
     friend class ResidentStore;

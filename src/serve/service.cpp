@@ -104,6 +104,17 @@ sessionMapKey(const std::string& tenant, const std::string& session)
     return tenant + '\x1f' + session;
 }
 
+/** The name of the architecture @p spec spells; empty for a bad spec. */
+std::string
+archName(const std::string& spec)
+{
+    try {
+        return architectureFromSpec(spec).name;
+    } catch (const FatalError&) {
+        return {};
+    }
+}
+
 bool
 sameKernel(const KernelConfig& a, const KernelConfig& b)
 {
@@ -151,7 +162,7 @@ coalesceKey(const ServeRequest& req)
 struct PlanService::SessionState
 {
     std::shared_mutex mu;
-    std::string arch_spec;
+    std::string arch_name;  //!< the parsed architecture's, not the spelling
     std::unique_ptr<HotTiles> ht;
     FingerprintAccumulator acc;
     KernelConfig kernel;
@@ -215,9 +226,8 @@ struct PlanService::RequestScope
     }
 
     /** The one native Run: Din from the request seed, a Golden run of
-     *  the formats under the chaos fail-stop, the output checksum. */
-    void execute(const TileGrid& grid, const Partition& part,
-                 const TiledWork& hot, const UntiledWork& cold,
+     *  the plan under the chaos fail-stop, the output checksum. */
+    void execute(const TileGrid& grid, const exec::CompiledPlan& plan,
                  double hot_share_hint)
     {
         exec::NativeExecOptions eo;
@@ -229,12 +239,15 @@ struct PlanService::RequestScope
             eo.fail_after_tasks = chaos.fail_after;
             svc.traceTransition("chaos.kill_class", req.id);
         }
-        DenseMatrix din(grid.matrixCols(), req.kernel.k);
+        DenseMatrix din =
+            DenseMatrix::uninitialized(grid.matrixCols(), req.kernel.k);
         Rng value_rng(req.seed);
         din.fillRandom(value_rng);
+        DenseMatrix out =
+            DenseMatrix::uninitialized(grid.matrixRows(), req.kernel.k);
         exec::ExecReport report;
-        DenseMatrix out = exec::makeNativeCpuBackend(eo)->run(
-            grid, part, hot, cold, req.kernel, din, &report);
+        exec::makeNativeCpuBackend(eo)->run(grid, plan, req.kernel, din, out,
+                                            &report);
         reply.checksum = denseChecksum(out);
         reply.exec_class_failed = report.class_failed;
     }
@@ -509,16 +522,18 @@ PlanService::resolveMatrix(const ServeRequest& req)
 std::shared_ptr<const Architecture>
 PlanService::resolveArch(const std::string& spec)
 {
+    // Keyed by name, so every spelling of one architecture shares it.
+    Architecture parsed = architectureFromSpec(spec);
     {
         std::lock_guard<std::mutex> lock(resolve_mu_);
-        auto it = archs_.find(spec);
+        auto it = archs_.find(parsed.name);
         if (it != archs_.end())
             return it->second;
     }
-    Architecture a = calibrated(architectureFromSpec(spec));
+    Architecture a = calibrated(std::move(parsed));
     std::lock_guard<std::mutex> lock(resolve_mu_);
     return archs_
-        .emplace(spec, std::make_shared<Architecture>(std::move(a)))
+        .emplace(a.name, std::make_shared<Architecture>(std::move(a)))
         .first->second;
 }
 
@@ -635,8 +650,8 @@ PlanService::handle(const ServeRequest& req, FlightSlot& slot)
 
     // --- Resolve inputs (bounded work; whole-deadline budget). ---
     // The handle's resident entry holds what earlier requests derived
-    // from the matrix; the fingerprint, grid and formats below come from
-    // it and are built only by the first request that needs them.
+    // from the matrix; the fingerprint, grid and compiled plan below come
+    // from it and are built only by the first request that needs them.
     std::shared_ptr<ResidentMatrix> res;
     std::shared_ptr<const Architecture> arch;
     try {
@@ -653,7 +668,7 @@ PlanService::handle(const ServeRequest& req, FlightSlot& slot)
     const Index th = arch->tile_height;
     const Index tw = arch->tile_width;
     const PlanKey key =
-        makePlanKey(res->fingerprint(th, tw), req.arch, th, tw, req.kernel);
+        makePlanKey(res->fingerprint(th, tw), arch->name, th, tw, req.kernel);
 
     if (chaos.corrupt_cache) {
         uint64_t cseed = cfg_.chaos.seed ^ (req.id * 0x94d049bb133111ebULL);
@@ -768,7 +783,7 @@ PlanService::handle(const ServeRequest& req, FlightSlot& slot)
         return rq.done(ServeStatus::Degraded, degrade_reason);
     }
 
-    // --- Run mode: execute the resident grid and formats. ---
+    // --- Run mode: execute the resident grid and compiled plan. ---
     if (rq.remaining() <= 0)
         return rq.done(ServeStatus::Timeout,
                        degrade_reason ? degrade_reason : "deadline");
@@ -793,9 +808,7 @@ PlanService::handle(const ServeRequest& req, FlightSlot& slot)
         }
         if (!plan)
             part = degradedColdPartition(grid.numTiles());
-        const std::shared_ptr<const ResidentFormats> formats =
-            res->formats(th, tw, part);
-        rq.execute(grid, part, formats->hot, formats->cold,
+        rq.execute(grid, *res->plan(th, tw, part),
                    plan ? plan->hot_share_hint : 0);
         return rq.done(plan ? ServeStatus::Ok : ServeStatus::Degraded,
                        degrade_reason);
@@ -851,9 +864,9 @@ PlanService::handleSession(RequestScope& rq)
             s->ht = std::make_unique<HotTiles>(*arch, *matrix, opts);
             s->acc = FingerprintAccumulator(*matrix, arch->tile_height,
                                             arch->tile_width);
-            s->arch_spec = req.arch;
+            s->arch_name = arch->name;
             s->kernel = req.kernel;
-            s->key = makePlanKey(s->acc.fingerprint(), req.arch,
+            s->key = makePlanKey(s->acc.fingerprint(), arch->name,
                                  arch->tile_height, arch->tile_width,
                                  req.kernel);
             CachedPlan plan = planFromPartition(*s->ht);
@@ -876,7 +889,7 @@ PlanService::handleSession(RequestScope& rq)
     std::shared_lock<std::shared_mutex> rlock(s->mu);
     if (!s->ht)  // a concurrent creator failed and evicted the session
         return rq.done(ServeStatus::Error, "no-session");
-    if (req.arch != s->arch_spec)
+    if (archName(req.arch) != s->arch_name)
         return rq.done(ServeStatus::Error, "session-arch-mismatch");
     if (!sameKernel(req.kernel, s->kernel))
         return rq.done(ServeStatus::Error, "session-kernel-mismatch");
@@ -890,6 +903,7 @@ PlanService::handleSession(RequestScope& rq)
 
     // Run mode executes the live grid, partition and formats — no rescan
     // or format build, which is the point of keeping the session hot.
+    // The formats are checked on every Run: deltas patch them in place.
     if (req.kernel.kind == SparseKernel::Sddmm)
         return rq.done(ServeStatus::Error, "sddmm-not-executable");
     if (rq.remaining() <= 0)
@@ -897,8 +911,9 @@ PlanService::handleSession(RequestScope& rq)
     rq.arm(rq.deadline_s);
     try {
         const HotTiles& ht = *s->ht;
-        rq.execute(ht.grid(), ht.partition(), ht.hotFormat(),
-                   ht.coldFormat(), s->plan->hot_share_hint);
+        const exec::CompiledPlan plan(ht.grid(), ht.partition(),
+                                      ht.hotFormat(), ht.coldFormat());
+        rq.execute(ht.grid(), plan, s->plan->hot_share_hint);
         return rq.done(ServeStatus::Ok, nullptr);
     } catch (const FatalError&) {
         return rq.done(ServeStatus::Error, "exec-failed");

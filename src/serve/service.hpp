@@ -9,8 +9,9 @@
  *   - a structural-fingerprint plan cache (serve/plan_cache.hpp) with
  *     bounded capacity, LRU eviction and single-flight deduplication;
  *   - resident matrix handles (serve/resident.hpp): each handle's
- *     fingerprint, tile grid and worker formats, built once and kept
- *     within a byte budget, so a Run on a cached plan rescans nothing;
+ *     fingerprint, tile grid and compiled plan (worker formats, tasks
+ *     and joins), built once and kept within a byte budget, so a Run on
+ *     a cached plan rescans and recompiles nothing;
  *   - admission control and backpressure (serve/admission.hpp): a
  *     bounded request queue in front of the PR 1 thread pool, explicit
  *     OVERLOADED shedding, per-tenant fairness caps;
@@ -177,7 +178,7 @@ struct ServiceConfig
      *  disabled; session requests reply ERROR session-limit). */
     size_t max_sessions = 64;
     /** Cap on resident handle bytes (loaded wire matrices, grids and
-     *  formats, plus a fixed charge per entry), LRU-evicted past it;
+     *  compiled plans, plus a fixed charge per entry), LRU-evicted past it;
      *  0 keeps nothing resident across requests. */
     size_t resident_budget_bytes = size_t(512) << 20;
     ChaosConfig chaos;
@@ -292,7 +293,8 @@ class PlanService
     const ServiceConfig cfg_;
     PlanCache cache_;
     // Resident handles: per matrix handle, its loaded matrix (wire
-    // handles) and per tile shape its fingerprint, grid and formats.
+    // handles) and per tile shape its fingerprint, grid and compiled
+    // plan.
     ResidentStore resident_;
     AdmissionQueue queue_;
     std::unique_ptr<ThreadPool> pool_;
@@ -300,7 +302,7 @@ class PlanService
     std::thread watchdog_;
     std::atomic<bool> watchdog_stop_{false};
 
-    // Resolved architectures (specs repeat across a stream).
+    // Resolved architectures by name: every spelling of one shares it.
     std::mutex resolve_mu_;
     std::map<std::string, std::shared_ptr<const Architecture>> archs_;
 

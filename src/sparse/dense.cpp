@@ -15,8 +15,21 @@
 namespace hottiles {
 
 DenseMatrix::DenseMatrix(Index rows, Index cols)
-    : rows_(rows), cols_(cols), data_(size_t(rows) * cols, Value(0))
+    : DenseMatrix(uninitialized(rows, cols))
 {
+    // One memset: the allocator's element-wise construction is a loop.
+    if (!data_.empty())
+        std::memset(data_.data(), 0, data_.size() * sizeof(Value));
+}
+
+DenseMatrix
+DenseMatrix::uninitialized(Index rows, Index cols)
+{
+    DenseMatrix m;
+    m.rows_ = rows;
+    m.cols_ = cols;
+    m.data_ = AlignedValueVector(size_t(rows) * cols);
+    return m;
 }
 
 void

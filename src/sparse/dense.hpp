@@ -32,6 +32,11 @@ class DenseMatrix
     /** Create a zero-filled rows x cols matrix. */
     DenseMatrix(Index rows, Index cols);
 
+    /** A rows x cols matrix whose elements are left uninitialized, for
+     *  an output or input that is overwritten in full before it is
+     *  read (an execution backend's run, fillRandom). */
+    static DenseMatrix uninitialized(Index rows, Index cols);
+
     Index rows() const { return rows_; }
     Index cols() const { return cols_; }
 

@@ -674,6 +674,54 @@ TEST(ServeService, BadInputsErrorCleanly)
     service.stop();
 }
 
+TEST(ServeService, ArchSpellingsShareOnePlan)
+{
+    // Three spellings of one architecture: one plan-cache entry, one
+    // session pin.
+    auto m = testMatrix(34);
+    ServiceConfig cfg;
+    cfg.workers = 1;
+    PlanService service(cfg);
+    const char* spellings[] = {"spade-sextans:4", "spade-sextans",
+                               "SPADE-Sextans:4"};
+    const char* sources[] = {"miss", "hit", "hit"};
+    uint64_t checksum = 0;
+    for (uint64_t i = 0; i < 3; ++i) {
+        ServeRequest req = runRequest(m, i + 1);
+        req.mode = RequestMode::Plan;
+        req.arch = spellings[i];
+        const ServeReply r = service.call(req);
+        ASSERT_EQ(r.status, ServeStatus::Ok) << spellings[i];
+        EXPECT_EQ(r.plan_source, sources[i]) << spellings[i];
+        if (i == 0)
+            checksum = r.checksum;
+        EXPECT_EQ(r.checksum, checksum) << spellings[i];
+    }
+
+    ServeRequest open = runRequest(m, 4);
+    open.mode = RequestMode::Plan;
+    open.session = "spelled";
+    open.arch = "spade-sextans:4";
+    ASSERT_EQ(service.call(open).status, ServeStatus::Ok);
+    ServeRequest same = runRequest(nullptr, 5);
+    same.matrix.clear();
+    same.session = "spelled";
+    same.arch = "spade-sextans";
+    const ServeReply rs = service.call(same);
+    EXPECT_EQ(rs.status, ServeStatus::Ok) << rs.detail;
+    EXPECT_EQ(rs.plan_source, "session");
+    KernelConfig k8;
+    k8.k = 8;
+    EXPECT_EQ(rs.checksum, expectedOkChecksum(*m, k8, 42));
+    ServeRequest other = same;
+    other.id = 6;
+    other.arch = "piuma";
+    const ServeReply ro = service.call(other);
+    EXPECT_EQ(ro.status, ServeStatus::Error);
+    EXPECT_EQ(ro.detail, "session-arch-mismatch");
+    service.stop();
+}
+
 TEST(ServeService, TransitionsLandInMetricsRegistry)
 {
     MetricsRegistry& reg = MetricsRegistry::global();

@@ -104,7 +104,7 @@
  *   --no-coalesce        disable in-flight Run request coalescing
  *   --max-sessions N     live delta sessions, 0 = off   (default 64)
  *   --resident-mb N      resident handle budget in MiB: loaded matrices,
- *                        tile grids and worker formats kept per matrix
+ *                        tile grids and compiled plans kept per matrix
  *                        handle, LRU-evicted past it; 0 = off (default 512)
  */
 
