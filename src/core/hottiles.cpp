@@ -320,8 +320,8 @@ HotTiles::patchValues(const ValueUpdateBatch& u)
     // value arrays through tile ids, so patching the grid covers it;
     // the cold (untiled) format copies its values per panel and needs
     // the matching PanelWork entry patched too.
+    grid_->setTiledValues(pos, u.vals);
     for (size_t i = 0; i < u.size(); ++i) {
-        grid_->setTiledValue(pos[i], u.vals[i]);
         if (!opts_.build_formats || partition_.is_hot[tile[i]])
             continue;
         const Index panel = grid_->tile(tile[i]).panel;
