@@ -90,16 +90,16 @@ HotTiles::buildPipeline(
     timing_.partition_s = t3 - t2;
     recordPeakRss();
 
-    // Stage 4: sparse format creation.  The cold (base) format is what a
-    // homogeneous accelerator would need anyway; the hot format is the
-    // additional HotTiles cost (§VIII-C).
+    // Stage 4: sparse format creation, compiled into the plan native
+    // execution runs.  The cold (base) format is what a homogeneous
+    // accelerator would need anyway; the hot format and the task
+    // derivation are the additional HotTiles cost (§VIII-C).
     if (opts_.build_formats) {
         progress("format");
-        cold_format_ = buildUntiledWork(*grid_, partition_.coldTiles());
-        double t4 = monotonicSeconds();
-        timing_.format_base_s = t4 - t3;
-        hot_format_ = buildTiledWork(*grid_, partition_.hotTiles());
-        timing_.format_extra_s = monotonicSeconds() - t4;
+        plan_ = std::make_unique<CompiledPlan>(*grid_, partition_,
+                                               &timing_.format_base_s);
+        timing_.format_extra_s =
+            monotonicSeconds() - t3 - timing_.format_base_s;
         recordPeakRss();
     }
 
@@ -203,66 +203,12 @@ HotTiles::applyDelta(const DeltaBatch& d)
                            partition_.heuristic != old_part.heuristic;
     migrate_timer.stop();
 
-    // Stage 4': patch the formats.  The hot (tiled) format is a cheap
-    // O(#hot tiles) grouping and is rebuilt outright.  The cold
-    // (untiled) format reuses each panel's PanelWork when the panel's
-    // data and its cold membership both stayed put — a per-panel
-    // version of the simulator's WorkListCache, applied across a grid
-    // mutation — and rebuilds the rest with one buildUntiledWork call.
-    if (opts_.build_formats) {
+    // Stage 4': patch the plan (CompiledPlan::applyDelta): the hot
+    // format is rebuilt, and the cold one reuses every panel whose data
+    // and cold membership stayed put.
+    if (plan_) {
         ScopedTimer fmt_timer("preprocess.update_formats");
-        hot_format_ = buildTiledWork(*grid_, partition_.hotTiles());
-
-        std::vector<size_t> cold_ids = partition_.coldTiles();
-        struct Group
-        {
-            Index panel;
-            size_t first, last;
-            bool reuse;
-        };
-        std::vector<Group> groups;
-        size_t i = 0;
-        while (i < cold_ids.size()) {
-            const Index p = grid_->tile(cold_ids[i]).panel;
-            size_t j = i;
-            while (j < cold_ids.size() &&
-                   grid_->tile(cold_ids[j]).panel == p)
-                ++j;
-            groups.push_back(
-                {p, i, j, !gd.panelDirty(p) && panel_class_same[p] != 0});
-            i = j;
-        }
-        std::vector<size_t> rebuild_ids;
-        for (const Group& g : groups)
-            if (!g.reuse)
-                rebuild_ids.insert(rebuild_ids.end(),
-                                   cold_ids.begin() + g.first,
-                                   cold_ids.begin() + g.last);
-        UntiledWork fresh = buildUntiledWork(*grid_, rebuild_ids);
-
-        std::vector<int64_t> old_of_panel(np, -1);
-        for (size_t k = 0; k < cold_format_.panels.size(); ++k)
-            old_of_panel[cold_format_.panels[k].panel] = int64_t(k);
-
-        UntiledWork nf;
-        nf.panels.reserve(groups.size());
-        size_t fi = 0;
-        for (const Group& g : groups) {
-            if (g.reuse) {
-                HT_ASSERT(old_of_panel[g.panel] >= 0,
-                          "reusable panel missing from the old cold format");
-                nf.panels.push_back(std::move(
-                    cold_format_.panels[size_t(old_of_panel[g.panel])]));
-                ++st.panels_reused;
-            } else {
-                nf.panels.push_back(std::move(fresh.panels[fi++]));
-                ++st.panels_rebuilt;
-            }
-        }
-        HT_ASSERT(fi == fresh.panels.size(), "cold-format splice mismatch");
-        for (const PanelWork& pw : nf.panels)
-            nf.total_nnz += pw.cols.size();
-        cold_format_ = std::move(nf);
+        plan_->applyDelta(*grid_, partition_, gd, panel_class_same, st);
     }
 
     st.update_s = monotonicSeconds() - t0;
@@ -316,47 +262,21 @@ HotTiles::patchValues(const ValueUpdateBatch& u)
                     "); structural changes are delta inserts");
     }
 
-    // Phase 2: write.  The hot (tiled) format references the grid's
-    // value arrays through tile ids, so patching the grid covers it;
-    // the cold (untiled) format copies its values per panel and needs
-    // the matching PanelWork entry patched too.
+    // Phase 2: write the grid, which the hot format reads through tile
+    // ids, then the plan's cold format, which copies its values.
     grid_->setTiledValues(pos, u.vals);
-    for (size_t i = 0; i < u.size(); ++i) {
-        if (!opts_.build_formats || partition_.is_hot[tile[i]])
-            continue;
-        const Index panel = grid_->tile(tile[i]).panel;
-        auto& panels = cold_format_.panels;
-        auto pit = std::lower_bound(
-            panels.begin(), panels.end(), panel,
-            [](const PanelWork& w, Index p) { return w.panel < p; });
-        HT_ASSERT(pit != panels.end() && pit->panel == panel,
-                  "cold tile's panel missing from the cold format");
-        // A panel row's columns ascend (buildUntiledWork).
-        const size_t r = u.rows[i] - panel * grid_->tileHeight();
-        const auto cb = pit->cols.begin() + pit->row_ptr[r];
-        const auto ce = pit->cols.begin() + pit->row_ptr[r + 1];
-        const auto it = std::lower_bound(cb, ce, u.cols[i]);
-        HT_ASSERT(it != ce && *it == u.cols[i],
-                  "cold nonzero missing from its PanelWork");
-        pit->vals[size_t(it - pit->cols.begin())] = u.vals[i];
-    }
+    if (plan_)
+        plan_->patchValues(*grid_, u, tile);
     MetricsRegistry::global().counter("preprocess.value_patches")
         .add(u.size());
     return u.size();
 }
 
-const UntiledWork&
-HotTiles::coldFormat() const
+const CompiledPlan&
+HotTiles::plan() const
 {
-    HT_ASSERT(opts_.build_formats, "formats were not built; set build_formats");
-    return cold_format_;
-}
-
-const TiledWork&
-HotTiles::hotFormat() const
-{
-    HT_ASSERT(opts_.build_formats, "formats were not built; set build_formats");
-    return hot_format_;
+    HT_ASSERT(plan_, "formats were not built; set build_formats");
+    return *plan_;
 }
 
 bool
@@ -386,8 +306,14 @@ samePreprocessedState(const HotTiles& a, const HotTiles& b)
         std::memcmp(&pa.predicted_cycles, &pb.predicted_cycles,
                     sizeof(double)) != 0)
         return false;
-    const UntiledWork& ca = a.coldFormat();
-    const UntiledWork& cb = b.coldFormat();
+    const CompiledPlan& qa = a.plan();
+    const CompiledPlan& qb = b.plan();
+    if (qa.isHot() != qb.isHot() || qa.tasks(0) != qb.tasks(0) ||
+        qa.tasks(1) != qb.tasks(1) || qa.hotTiles() != qb.hotTiles() ||
+        qa.joins() != qb.joins() || qa.idlePanels() != qb.idlePanels())
+        return false;
+    const UntiledWork& ca = qa.cold();
+    const UntiledWork& cb = qb.cold();
     if (ca.total_nnz != cb.total_nnz || ca.panels.size() != cb.panels.size())
         return false;
     for (size_t i = 0; i < ca.panels.size(); ++i) {
@@ -399,8 +325,8 @@ samePreprocessedState(const HotTiles& a, const HotTiles& b)
                         wa.vals.size() * sizeof(Value)) != 0)
             return false;
     }
-    const TiledWork& ha = a.hotFormat();
-    const TiledWork& hb = b.hotFormat();
+    const TiledWork& ha = qa.hot();
+    const TiledWork& hb = qb.hot();
     return ha.total_nnz == hb.total_nnz && ha.panel_ids == hb.panel_ids &&
            ha.panel_tiles == hb.panel_tiles;
 }

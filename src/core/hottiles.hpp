@@ -14,10 +14,10 @@
 #include <memory>
 
 #include "arch/arch_config.hpp"
+#include "core/compiled_plan.hpp"
 #include "core/preprocess.hpp"
 #include "partition/heuristics.hpp"
 #include "partition/iunaware.hpp"
-#include "sim/worklist.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/tiling.hpp"
 
@@ -47,7 +47,10 @@ struct DeltaUpdateStats
 struct HotTilesOptions
 {
     KernelConfig kernel;          //!< K and gSpMM arithmetic intensity
-    bool build_formats = true;    //!< generate the worker formats eagerly
+    /** Run the format stage: compile plan() (both worker formats and
+     *  their tasks) eagerly, and keep it patched through applyDelta and
+     *  patchValues.  Off, the pipeline ends at the partition. */
+    bool build_formats = true;
     uint64_t iunaware_seed = 42;  //!< tile randomization of the baseline
 
     /**
@@ -106,10 +109,10 @@ class HotTiles
     double predictedHotOnlyCycles() const;
     double predictedColdOnlyCycles() const;
 
-    /** Per-worker-type formats for the selected partitioning: what
-     *  native execution runs (exec::ExecutionBackend::run). */
-    const UntiledWork& coldFormat() const;
-    const TiledWork& hotFormat() const;
+    /** The format stage's output: the selected partitioning compiled
+     *  into both worker formats and their tasks, what native execution
+     *  runs (exec::ExecutionBackend::run).  Needs build_formats. */
+    const CompiledPlan& plan() const;
 
     /** Preprocessing stage timings (Fig 18). */
     const PreprocessTiming& timing() const { return timing_; }
@@ -121,10 +124,11 @@ class HotTiles
      * their tiles (clean panels' estimates are spliced over), the
      * heuristic sweep re-runs on the spliced estimates — it is global
      * by construction, but O(tiles log tiles), not O(nnz) — and the
-     * cold format reuses every panel whose data and cold membership did
-     * not move.  The resulting grid, partition and formats are
-     * bit-identical to constructing HotTiles(arch, applyDeltaToCoo(a,
-     * d), opts) across thread counts.  The "update" progress hook fires
+     * plan's cold format reuses every panel whose data and cold
+     * membership did not move, after which the plan re-derives its
+     * tasks.  The resulting grid, partition and plan are bit-identical
+     * to constructing HotTiles(arch, applyDeltaToCoo(a, d), opts)
+     * across thread counts.  The "update" progress hook fires
      * once per call; the cost lands in timing().update_s.
      * @throws FatalError on a batch-contract violation (delta.hpp),
      * leaving the object unmodified.
@@ -133,8 +137,8 @@ class HotTiles
 
     /**
      * Value-only fast path: overwrite the values of @p u's coordinates
-     * in the tiled arrays and, when formats were built, in the cold
-     * format's copied panel values — nothing else.  Values affect no
+     * in the tiled arrays and, when formats were built, in the plan's
+     * copied cold panel values — nothing else.  Values affect no
      * tile statistic, model estimate, partition decision or fingerprint,
      * so this skips every pipeline stage (including stage 1'-3' of
      * applyDelta) and costs O(|u| log nnz).  The result is bit-identical
@@ -157,8 +161,7 @@ class HotTiles
     std::unique_ptr<TileGrid> grid_;
     PartitionContext ctx_;
     Partition partition_;
-    UntiledWork cold_format_;
-    TiledWork hot_format_;
+    std::unique_ptr<CompiledPlan> plan_;  //!< null without build_formats
     PreprocessTiming timing_;
     /** Per-heuristic sweep state for incremental re-partitioning; empty
      *  (no memory cost) until the first applyDelta seeds it. */
@@ -169,7 +172,8 @@ class HotTiles
 
 /**
  * Bit-exact equality of two preprocessed states: grid (tiles + tiled
- * arrays), partition and both worker formats.  This is the acceptance
+ * arrays), partition and plan (both worker formats, is_hot, tasks,
+ * joins and idle panels).  This is the acceptance
  * contract of the incremental path (docs/INCREMENTAL.md) — anything
  * short of bit-identity would let update streams drift from what a
  * from-scratch preprocessing would produce.  Both objects must have

@@ -32,10 +32,10 @@
 #include <string>
 #include <vector>
 
+#include "core/compiled_plan.hpp"
 #include "core/telemetry.hpp"
 #include "kernels/kernel_api.hpp"
 #include "partition/partition.hpp"
-#include "sim/worklist.hpp"
 #include "sparse/dense.hpp"
 #include "sparse/tiling.hpp"
 
@@ -106,10 +106,8 @@ struct ExecReport
     unsigned hot_executors = 0;  //!< slots serving the hot queue
     unsigned cold_executors = 0;
     /** Set-up before the parallel region: panel buffers, queues and
-     *  unit-time vectors, plus what the entry point did first — the
-     *  borrowed run's format check and task derivation, or the
-     *  stateless run's memo lookup and, on a miss, the whole compile
-     *  (format build included). */
+     *  unit-time vectors, plus, for the stateless run, its memo lookup
+     *  and, on a miss, the whole compile (format build included). */
     double prepare_s = 0;
     /** Zeroing the panels no task writes, then the parallel tasks. */
     double wall_s = 0;
@@ -120,87 +118,9 @@ struct ExecReport
     ExecClassReport cold;
 };
 
-/** Join index of a panel that one class owns alone. */
-inline constexpr uint32_t kNoJoin = UINT32_MAX;
-
-/** One task of a compiled plan: one row panel's share of one class, at
- *  the task's own index in its class's format — the hot tiles
- *  (TiledWork::panel_tiles) or the merged cold nonzeros as a local CSR
- *  (UntiledWork::panels). */
-struct PanelTask
-{
-    Index panel = 0;
-    size_t nnz = 0;
-    size_t tiles = 0;  //!< hot tiles, or cold tiles merged
-    size_t unit0 = 0;  //!< hot: first slot in the per-tile time vector
-    uint32_t join = kNoJoin;  //!< the panel's join when both classes own it
-};
-
-/**
- * A compiled plan (docs/EXECUTION.md): everything a run derives from
- * (grid, partition) before it reads Din.  It holds both worker formats,
- * owned or borrowed, the is_hot they were built for, one task per row
- * panel and class with the joins of panels both classes own, and the
- * panels no task writes.  Immutable once built, so one plan serves any
- * number of runs, concurrent ones included, on its grid while that grid
- * does not change (TileGrid::identity).
- */
-class CompiledPlan
-{
-  public:
-    /** Build both worker formats of @p p over @p grid and derive the
-     *  tasks (see compile()).  Both constructors refuse a moved-from
-     *  grid with a FatalError. */
-    CompiledPlan(const TileGrid& grid, const Partition& p);
-
-    /**
-     * Borrow (@p hot, @p cold), e.g. HotTiles' hotFormat()/coldFormat(),
-     * which must outlive the plan.  First checks in O(panels + hot
-     * tiles) that they fit @p grid and @p p: panels ascend within the
-     * grid, hot panels list their own hot tiles in order, each cold
-     * panel is a CSR of its cold tiles, and together they hold the
-     * grid's nonzeros; a mismatch raises a FatalError naming it.
-     */
-    CompiledPlan(const TileGrid& grid, const Partition& p,
-                 const TiledWork& hot, const UntiledWork& cold);
-
-    CompiledPlan(const CompiledPlan&) = delete;
-    CompiledPlan& operator=(const CompiledPlan&) = delete;
-
-    /** True when @p grid has the identity this plan was compiled for:
-     *  that grid or a copy of it, unchanged since. */
-    bool compiledFor(const TileGrid& grid) const;
-
-    const std::vector<uint8_t>& isHot() const { return is_hot_; }
-    const TiledWork& hot() const { return *hot_; }
-    const UntiledWork& cold() const { return *cold_; }
-    /** Class @p cls's tasks (0 hot, 1 cold), ascending by panel. */
-    const std::vector<PanelTask>& tasks(int cls) const { return tasks_[cls]; }
-    size_t hotTiles() const { return hot_tiles_; }
-    uint32_t joins() const { return joins_; }  //!< panels both classes own
-    /** Row panels no task writes; a run zeroes them. */
-    const std::vector<Index>& idlePanels() const { return idle_panels_; }
-
-    /** Heap bytes the plan holds, owned formats included. */
-    size_t bytes() const;
-
-  private:
-    void derive(const TileGrid& grid);
-
-    std::weak_ptr<const void> grid_;
-    std::vector<uint8_t> is_hot_;
-    TiledWork own_hot_;
-    UntiledWork own_cold_;
-    const TiledWork* hot_ = &own_hot_;
-    const UntiledWork* cold_ = &own_cold_;
-    std::vector<PanelTask> tasks_[2];
-    size_t hot_tiles_ = 0;
-    uint32_t joins_ = 0;
-    std::vector<Index> idle_panels_;
-};
-
 /** Compile @p p over @p grid: build both worker formats, derive the
- *  tasks, and share the result. */
+ *  tasks, and share the result as const (only HotTiles patches a plan,
+ *  and only its own). */
 std::shared_ptr<const CompiledPlan> compile(const TileGrid& grid,
                                             const Partition& p);
 
@@ -220,23 +140,16 @@ class ExecutionBackend
     virtual ~ExecutionBackend() = default;
 
     /**
-     * Execute @p plan, compiled for @p grid, into @p out, which must be
-     * matrixRows() x kernel.k: every cell is overwritten, so it may
-     * start uninitialized.  @p din must be matrixCols() x kernel.k.  A
-     * plan compiled for another grid, or for this one before it
-     * changed, raises a FatalError before any work.
+     * Execute @p plan (HotTiles::plan() or a compile()d one), compiled
+     * for @p grid, into @p out, which must be matrixRows() x kernel.k:
+     * every cell is overwritten, so it may start uninitialized.  @p din
+     * must be matrixCols() x kernel.k.  A plan compiled for another
+     * grid, or for this one before it changed, raises a FatalError
+     * before any work.
      */
     virtual void run(const TileGrid& grid, const CompiledPlan& plan,
                      const KernelConfig& kernel, const DenseMatrix& din,
                      DenseMatrix& out, ExecReport* report = nullptr) = 0;
-
-    /** Borrowed formats: compile a plan of (@p hot, @p cold), checking
-     *  that they fit (CompiledPlan), and run it into a new output.
-     *  Formats patched in place between calls are checked again. */
-    DenseMatrix run(const TileGrid& grid, const Partition& p,
-                    const TiledWork& hot, const UntiledWork& cold,
-                    const KernelConfig& kernel, const DenseMatrix& din,
-                    ExecReport* report = nullptr);
 
     /**
      * Stateless convenience: run the plan this backend keeps for

@@ -3,10 +3,10 @@
  * NativeCpuBackend: executes a partition plan for real on the host
  * (docs/EXECUTION.md).  Work model:
  *
- *  - A run executes a CompiledPlan: the worker formats (built by the
- *    plan, or borrowed and checked) with the tasks and joins derived
- *    from them.  The stateless entry keeps each grid's last plan in the
- *    backend's memo, so a repeated run compiles nothing.
+ *  - A run executes a CompiledPlan (core/compiled_plan.hpp): the worker
+ *    formats with the tasks and joins derived from them.  The stateless
+ *    entry keeps each grid's last plan in the backend's memo, so a
+ *    repeated run compiles nothing.
  *  - The unit of scheduling is one row panel per class.  A hot task runs
  *    the panel's hot tiles in tile-column order through the streaming
  *    COO kernels; a cold task runs the panel's merged cold nonzeros, a
@@ -122,34 +122,11 @@ void validate(const TileGrid& grid, const KernelConfig& kernel,
                 kernel.k, ", got ", din.rows(), " x ", din.cols());
 }
 
-void checkCovers(const TileGrid& grid, const Partition& p)
-{
-    HT_FATAL_IF(p.is_hot.size() != grid.numTiles(),
-                "native exec: partition covers ", p.is_hot.size(),
-                " tiles but the grid has ", grid.numTiles());
-}
-
 /** First row and height of row panel @p panel. */
 std::pair<Index, Index> panelRows(const TileGrid& grid, Index panel)
 {
     const Index row0 = panel * grid.tileHeight();
     return {row0, std::min(grid.tileHeight(), grid.matrixRows() - row0)};
-}
-
-bool sameOwner(const std::weak_ptr<const void>& a,
-               const std::weak_ptr<const void>& b)
-{
-    return !a.owner_before(b) && !b.owner_before(a);
-}
-
-/** The identity a plan of @p grid is keyed by; a moved-from grid has
- *  none, and no plan compiled for it could ever run. */
-std::weak_ptr<const void> liveIdentity(const TileGrid& grid)
-{
-    std::weak_ptr<const void> id = grid.identity();
-    HT_FATAL_IF(id.expired(), "native exec: the grid was moved from, so "
-                "there is nothing to compile a plan for");
-    return id;
 }
 
 /** Slots serving the hot queue (the rest serve cold). */
@@ -531,160 +508,11 @@ void NativeCpuBackend::runAs(const TileGrid& grid, const CompiledPlan& plan,
 
 } // namespace
 
-CompiledPlan::CompiledPlan(const TileGrid& grid, const Partition& p)
-    : grid_(liveIdentity(grid)), is_hot_(p.is_hot)
-{
-    checkCovers(grid, p);
-    own_hot_ = buildTiledWork(grid, p.hotTiles());
-    own_cold_ = buildUntiledWork(grid, p.coldTiles());
-    derive(grid);
-}
-
-CompiledPlan::CompiledPlan(const TileGrid& grid, const Partition& p,
-                           const TiledWork& hot, const UntiledWork& cold)
-    : grid_(liveIdentity(grid)), is_hot_(p.is_hot), hot_(&hot), cold_(&cold)
-{
-    checkCovers(grid, p);
-    derive(grid);
-}
-
-/**
- * Derive the tasks, joins and idle panels of the formats, first checking
- * in O(panels + hot tiles) (beyond the cold tasks' own tile counts) that
- * they fit the grid and is_hot (see the borrowing constructor).
- */
-void CompiledPlan::derive(const TileGrid& grid)
-{
-    const TiledWork& hot = *hot_;
-    const UntiledWork& cold = *cold_;
-    auto& [hot_tasks, cold_tasks] = tasks_;
-    const Index np = grid.numPanels();
-    auto checkPanel = [&](const char* cls, Index panel, size_t i, Index prev) {
-        HT_FATAL_IF(panel >= np || (i > 0 && panel <= prev), "native exec: ",
-                    cls, " work lists panel ", panel, " out of order or past "
-                    "the grid's ", np, " panels");
-    };
-    HT_FATAL_IF(hot.panel_ids.size() != hot.panel_tiles.size(),
-                "native exec: hot work has ", hot.panel_ids.size(),
-                " panel ids for ", hot.panel_tiles.size(), " tile lists");
-
-    hot_tasks.reserve(hot.panel_tiles.size());
-    size_t nnz = 0;
-    for (size_t i = 0; i < hot.panel_tiles.size(); ++i) {
-        PanelTask ht;
-        ht.panel = hot.panel_ids[i];
-        checkPanel("hot", ht.panel, i, i ? hot.panel_ids[i - 1] : 0);
-        ht.tiles = hot.panel_tiles[i].size();
-        ht.unit0 = hot_tiles_;
-        const auto [tb, te] = grid.panelTiles(ht.panel);
-        size_t next = tb;
-        for (size_t tid : hot.panel_tiles[i]) {
-            HT_FATAL_IF(tid < next || tid >= te, "native exec: hot work "
-                        "lists tile ", tid, " out of order or outside panel ",
-                        ht.panel, "'s tiles [", tb, ", ", te, ")");
-            HT_FATAL_IF(!is_hot_[tid], "native exec: hot work lists tile ",
-                        tid, ", which the partition assigns cold");
-            ht.nnz += grid.tile(tid).nnz;
-            next = tid + 1;
-        }
-        hot_tiles_ += ht.tiles;
-        nnz += ht.nnz;
-        hot_tasks.push_back(ht);
-    }
-
-    cold_tasks.reserve(cold.panels.size());
-    for (size_t i = 0; i < cold.panels.size(); ++i) {
-        const PanelWork& pw = cold.panels[i];
-        checkPanel("cold", pw.panel, i, i ? cold.panels[i - 1].panel : 0);
-        PanelTask ct;
-        ct.panel = pw.panel;
-        ct.nnz = pw.cols.size();
-        size_t tiles_nnz = 0;
-        auto [tb, te] = grid.panelTiles(pw.panel);
-        for (size_t t = tb; t < te; ++t)
-            if (!is_hot_[t]) {
-                ++ct.tiles;
-                tiles_nnz += grid.tile(t).nnz;
-            }
-        const Index height = panelRows(grid, pw.panel).second;
-        HT_FATAL_IF(pw.row_ptr.size() != size_t(height) + 1 ||
-                        pw.row_ptr.front() != 0 ||
-                        pw.row_ptr.back() != ct.nnz ||
-                        pw.vals.size() != ct.nnz || ct.nnz != tiles_nnz,
-                    "native exec: cold panel ", pw.panel, " is not a ",
-                    height, "-row CSR of its cold tiles' ", tiles_nnz,
-                    " nonzeros");
-        nnz += ct.nnz;
-        cold_tasks.push_back(ct);
-    }
-    HT_FATAL_IF(nnz != grid.matrixNnz(), "native exec: the formats hold ",
-                nnz, " nonzeros but the grid has ", grid.matrixNnz());
-
-    // Both task lists ascend by panel: a panel in both is a join, and a
-    // panel in neither is idle.
-    size_t h = 0, c = 0;
-    for (Index panel = 0; panel < np; ++panel) {
-        const bool in_hot = h < hot_tasks.size() && hot_tasks[h].panel == panel;
-        const bool in_cold =
-            c < cold_tasks.size() && cold_tasks[c].panel == panel;
-        if (in_hot && in_cold)
-            hot_tasks[h].join = cold_tasks[c].join = joins_++;
-        else if (!in_hot && !in_cold)
-            idle_panels_.push_back(panel);
-        h += in_hot;
-        c += in_cold;
-    }
-}
-
-bool CompiledPlan::compiledFor(const TileGrid& grid) const
-{
-    const std::weak_ptr<const void> id = grid.identity();
-    return !id.expired() && sameOwner(grid_, id);
-}
-
-size_t CompiledPlan::bytes() const
-{
-    size_t b = is_hot_.capacity() + idle_panels_.capacity() * sizeof(Index);
-    for (const auto& tasks : tasks_)
-        b += tasks.capacity() * sizeof(PanelTask);
-    if (hot_ == &own_hot_) {
-        b += own_hot_.panel_ids.capacity() * sizeof(Index) +
-             own_hot_.panel_tiles.capacity() * sizeof(own_hot_.panel_tiles[0]);
-        for (const auto& tiles : own_hot_.panel_tiles)
-            b += tiles.capacity() * sizeof(size_t);
-    }
-    if (cold_ == &own_cold_) {
-        b += own_cold_.panels.capacity() * sizeof(PanelWork);
-        for (const PanelWork& pw : own_cold_.panels)
-            b += pw.row_ptr.capacity() * sizeof(size_t) +
-                 pw.cols.capacity() * sizeof(Index) +
-                 pw.vals.capacity() * sizeof(Value);
-    }
-    return b;
-}
-
 std::shared_ptr<const CompiledPlan> compile(const TileGrid& grid,
                                             const Partition& p)
 {
     ScopedTimer t("exec.native.compile");
     return std::make_shared<const CompiledPlan>(grid, p);
-}
-
-DenseMatrix ExecutionBackend::run(const TileGrid& grid, const Partition& p,
-                                  const TiledWork& hot,
-                                  const UntiledWork& cold,
-                                  const KernelConfig& kernel,
-                                  const DenseMatrix& din, ExecReport* report)
-{
-    validate(grid, kernel, din);
-    const double t0 = monotonicSeconds();
-    const CompiledPlan plan(grid, p, hot, cold);
-    const double compile_s = monotonicSeconds() - t0;
-    DenseMatrix out = DenseMatrix::uninitialized(grid.matrixRows(), kernel.k);
-    run(grid, plan, kernel, din, out, report);
-    if (report)
-        report->prepare_s += compile_s;
-    return out;
 }
 
 DenseMatrix ExecutionBackend::run(const TileGrid& grid, const Partition& p,
@@ -709,12 +537,15 @@ ExecutionBackend::planFor(const TileGrid& grid, const Partition& p)
         MetricsRegistry::global().counter("exec.native.plan.hit");
     static Counter& misses =
         MetricsRegistry::global().counter("exec.native.plan.miss");
-    const std::weak_ptr<const void> id = liveIdentity(grid);
+    // A moved-from grid has no identity, so no plan could ever run on it.
+    const std::weak_ptr<const void> id = grid.identity();
+    HT_FATAL_IF(id.expired(), "native exec: the grid was moved from, so "
+                "there is nothing to compile a plan for");
     const std::lock_guard<std::mutex> lock(memo_mu_);
     std::erase_if(memo_, [](const MemoEntry& e) { return e.grid.expired(); });
     const auto it =
         std::find_if(memo_.begin(), memo_.end(), [&](const MemoEntry& e) {
-            return sameOwner(e.grid, id);
+            return e.plan->compiledFor(grid);
         });
     if (it != memo_.end() && it->plan->isHot() == p.is_hot) {
         hits.add();
@@ -740,7 +571,9 @@ DenseMatrix referenceExecute(const TileGrid& grid, const Partition& p,
                              const DenseMatrix& din)
 {
     validate(grid, kernel, din);
-    checkCovers(grid, p);
+    HT_FATAL_IF(p.is_hot.size() != grid.numTiles(),
+                "native exec: partition covers ", p.is_hot.size(),
+                " tiles but the grid has ", grid.numTiles());
     const TiledWork hot = buildTiledWork(grid, p.hotTiles());
     const UntiledWork cold = buildUntiledWork(grid, p.coldTiles());
     const KernelOps& ops = kernels::opsForTier(kernels::Tier::Scalar);

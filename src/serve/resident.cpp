@@ -64,7 +64,7 @@ struct ResidentMatrix::Shape
     bool has_fp = false;
     PlanFingerprint fp;
     std::unique_ptr<const TileGrid> grid;
-    std::shared_ptr<const exec::CompiledPlan> plan;
+    std::shared_ptr<const CompiledPlan> plan;
 };
 
 ResidentMatrix::ResidentMatrix(ResidentStore& store, Key key,
@@ -130,7 +130,7 @@ ResidentMatrix::grid(Index tile_h, Index tile_w)
     return gridLocked(s);
 }
 
-std::shared_ptr<const exec::CompiledPlan>
+std::shared_ptr<const CompiledPlan>
 ResidentMatrix::plan(Index tile_h, Index tile_w, const Partition& part)
 {
     Shape& s = shape(tile_h, tile_w);

@@ -12,7 +12,7 @@
  *   - the structural fingerprint (serve/fingerprint.hpp), which Plan and
  *     Run both key the plan cache with;
  *   - the TileGrid, built by the handle's first Run (or degraded Plan);
- *   - the compiled plan (exec::CompiledPlan: worker formats, tasks and
+ *   - the compiled plan (CompiledPlan: worker formats, tasks and
  *     joins) of the last partition executed on that grid, reused only
  *     by a partition whose is_hot matches byte for byte.
  * Each is built once, by the first request that needs it; concurrent
@@ -74,7 +74,7 @@ class ResidentMatrix
     /** The compiled plan of @p part on grid(@p tile_h, @p tile_w): the
      *  resident one when its is_hot equals part.is_hot, else compiled
      *  and kept in its place. */
-    std::shared_ptr<const exec::CompiledPlan>
+    std::shared_ptr<const CompiledPlan>
     plan(Index tile_h, Index tile_w, const Partition& part);
 
   private:

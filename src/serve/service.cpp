@@ -227,7 +227,7 @@ struct PlanService::RequestScope
 
     /** The one native Run: Din from the request seed, a Golden run of
      *  the plan under the chaos fail-stop, the output checksum. */
-    void execute(const TileGrid& grid, const exec::CompiledPlan& plan,
+    void execute(const TileGrid& grid, const CompiledPlan& plan,
                  double hot_share_hint)
     {
         exec::NativeExecOptions eo;
@@ -901,19 +901,16 @@ PlanService::handleSession(RequestScope& rq)
         return rq.done(ServeStatus::Ok, nullptr);
     }
 
-    // Run mode executes the live grid, partition and formats — no rescan
-    // or format build, which is the point of keeping the session hot.
-    // The formats are checked on every Run: deltas patch them in place.
+    // Run mode executes the session's plan, which deltas and value
+    // frames patch in place — no rescan, format build or check, which
+    // is the point of keeping the session hot.
     if (req.kernel.kind == SparseKernel::Sddmm)
         return rq.done(ServeStatus::Error, "sddmm-not-executable");
     if (rq.remaining() <= 0)
         return rq.done(ServeStatus::Timeout, "deadline");
     rq.arm(rq.deadline_s);
     try {
-        const HotTiles& ht = *s->ht;
-        const exec::CompiledPlan plan(ht.grid(), ht.partition(),
-                                      ht.hotFormat(), ht.coldFormat());
-        rq.execute(ht.grid(), plan, s->plan->hot_share_hint);
+        rq.execute(s->ht->grid(), s->ht->plan(), s->plan->hot_share_hint);
         return rq.done(ServeStatus::Ok, nullptr);
     } catch (const FatalError&) {
         return rq.done(ServeStatus::Error, "exec-failed");

@@ -15,10 +15,10 @@
  *    insert/delete batches through HotTiles::applyDelta keep the grid,
  *    partition plan and SpMM output bit-identical to from-scratch
  *    preprocessing across {1, 2, 7} threads, and a native run of the
- *    patched worker formats equals the reference on the fresh build.
+ *    patched plan equals the reference on the fresh build.
  *  - IncrementalPatchValues: the value-only fast path patches the tiled
- *    arrays and the cold format into the state of a fresh build, and
- *    the patched formats execute like it.
+ *    arrays and the plan's cold format into the state of a fresh build,
+ *    and the patched plan executes like it.
  *  - IncrementalFingerprint: chaining a delta through the
  *    FingerprintAccumulator equals re-fingerprinting the patched
  *    matrix, and structural changes never leave the fingerprint fixed.
@@ -212,15 +212,16 @@ TEST(IncrementalTiling, DeleteOnlyShrinksInPlace)
 
 // --------------------------------------- whole-pipeline property test
 
-/** A Golden native run of @p ht's own worker formats — what a session
- *  executes — must equal @p ref bit for bit. */
+/** A Golden native run of @p ht's own plan — what a session executes —
+ *  must equal @p ref bit for bit. */
 void
-expectFormatsRunLike(const HotTiles& ht, const DenseMatrix& din,
-                     const DenseMatrix& ref)
+expectPlanRunsLike(const HotTiles& ht, const DenseMatrix& din,
+                   const DenseMatrix& ref)
 {
-    DenseMatrix out = exec::makeNativeCpuBackend()->run(
-        ht.grid(), ht.partition(), ht.hotFormat(), ht.coldFormat(),
-        ht.kernel(), din);
+    DenseMatrix out =
+        DenseMatrix::uninitialized(ht.grid().matrixRows(), ht.kernel().k);
+    exec::makeNativeCpuBackend()->run(ht.grid(), ht.plan(), ht.kernel(), din,
+                                      out);
     ASSERT_EQ(out.data().size(), ref.data().size());
     EXPECT_EQ(std::memcmp(out.data().data(), ref.data().data(),
                           out.data().size() * sizeof(Value)),
@@ -271,7 +272,7 @@ runPipelineProperty(unsigned threads)
             << "threads=" << threads << " round=" << round;
         SCOPED_TRACE("threads=" + std::to_string(threads) +
                      " round=" + std::to_string(round));
-        expectFormatsRunLike(ht, din, out_fresh);
+        expectPlanRunsLike(ht, din, out_fresh);
     }
     EXPECT_GT(ht.timing().update_s, 0.0);
     ThreadPool::setGlobalThreads(before);
@@ -368,10 +369,9 @@ TEST(IncrementalPatchValues, HotAndColdEntriesMatchRebuild)
     DenseMatrix din(m.cols(), opts.kernel.k);
     Rng rng(78);
     din.fillRandom(rng);
-    expectFormatsRunLike(ht, din,
-                         exec::referenceExecute(fresh.grid(),
-                                                fresh.partition(),
-                                                fresh.kernel(), din));
+    expectPlanRunsLike(ht, din,
+                       exec::referenceExecute(fresh.grid(), fresh.partition(),
+                                              fresh.kernel(), din));
 }
 
 // ------------------------------------------- fingerprint delta chain

@@ -110,8 +110,11 @@ TEST(HotTilesPipeline, CommunityMatrixSendsDenseTilesHot)
 TEST(HotTilesPipeline, FormatsPartitionTheMatrix)
 {
     HotTiles ht = makePipeline();
-    size_t total = ht.coldFormat().total_nnz + ht.hotFormat().total_nnz;
+    const CompiledPlan& plan = ht.plan();
+    size_t total = plan.cold().total_nnz + plan.hot().total_nnz;
     EXPECT_EQ(total, ht.grid().matrixNnz());
+    EXPECT_EQ(plan.isHot(), ht.partition().is_hot);
+    EXPECT_TRUE(plan.compiledFor(ht.grid()));
 }
 
 TEST(HotTilesPipeline, TimingStagesRecorded)
@@ -133,7 +136,7 @@ TEST(HotTilesPipeline, SkipFormatsOption)
     HotTilesOptions opts;
     opts.build_formats = false;
     HotTiles ht(arch, m, opts);
-    EXPECT_DEATH(ht.coldFormat(), "formats");
+    EXPECT_DEATH(ht.plan(), "formats");
     EXPECT_DOUBLE_EQ(ht.timing().format_base_s, 0.0);
 }
 

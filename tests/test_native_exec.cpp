@@ -7,8 +7,7 @@
  *    reference SpMM); Fast stays within kernel tolerance; both hold on
  *    cold-only, hot-only, mixed and empty row panels at K with and
  *    without SIMD tails; reports and telemetry are internally
- *    consistent; SDDMM is cleanly rejected; worker formats that do not
- *    fit the grid and partition are refused before any work.
+ *    consistent; SDDMM is cleanly rejected.
  *  - NativeExecDeterminism: results are bit-identical across {1, 2, 7}
  *    threads and across hot/cold queue interleavings (executor splits,
  *    stealing on/off) — the disjoint-write contract in practice.
@@ -311,79 +310,6 @@ TEST_F(NativeExec, SddmmIsRejected)
                  FatalError);
 }
 
-TEST_F(NativeExec, FormatsThatDoNotFitAreRejectedBeforeAnyWork)
-{
-    RunSetup s(spmmKernel());
-    ThreadPool::setGlobalThreads(4);
-    const TileGrid& grid = s.grid();
-    const Partition p = mixedPartition(grid);
-    const TiledWork hot = buildTiledWork(grid, p.hotTiles());
-    const UntiledWork cold = buildUntiledWork(grid, p.coldTiles());
-    ASSERT_GE(cold.panels.size(), 2u);
-    auto backend = exec::makeNativeCpuBackend({});
-    expectBitIdentical(backend->run(grid, p, hot, cold, s.kernel(), s.din),
-                       exec::referenceExecute(grid, p, s.kernel(), s.din));
-
-    auto expectRejected = [&](const TiledWork& h, const UntiledWork& c,
-                              const std::string& what) {
-        try {
-            backend->run(grid, p, h, c, s.kernel(), s.din);
-            ADD_FAILURE() << "the formats ran; expected: " << what;
-        } catch (const FatalError& e) {
-            EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
-                << e.what();
-        }
-    };
-    {
-        // Every tile of the first hot panel, cold ones included.
-        TiledWork bad = hot;
-        auto [tb, te] = grid.panelTiles(bad.panel_ids[0]);
-        size_t cold_tile = tb;
-        while (cold_tile < te && p.is_hot[cold_tile])
-            ++cold_tile;
-        ASSERT_LT(cold_tile, te);
-        bad.panel_tiles[0].clear();
-        for (size_t t = tb; t < te; ++t)
-            bad.panel_tiles[0].push_back(t);
-        expectRejected(bad, cold,
-                       "tile " + std::to_string(cold_tile) +
-                           ", which the partition assigns cold");
-    }
-    {
-        UntiledWork bad = cold;
-        bad.panels.back().panel = grid.numPanels();
-        expectRejected(hot, bad,
-                       "lists panel " + std::to_string(grid.numPanels()) +
-                           " out of order or past");
-    }
-    {
-        UntiledWork bad = cold;
-        bad.panels.pop_back();
-        expectRejected(hot, bad,
-                       "but the grid has " +
-                           std::to_string(grid.matrixNnz()));
-    }
-    {
-        UntiledWork bad = cold;
-        bad.panels[0].row_ptr.pop_back();
-        expectRejected(hot, bad, "-row CSR of its cold tiles'");
-    }
-    {
-        // One nonzero moved to the next panel: the total still holds.
-        UntiledWork bad = cold;
-        PanelWork& a = bad.panels[0];
-        PanelWork& b = bad.panels[1];
-        a.cols.pop_back();
-        a.vals.pop_back();
-        --a.row_ptr.back();
-        b.cols.push_back(0);
-        b.vals.push_back(1);
-        ++b.row_ptr.back();
-        expectRejected(hot, bad,
-                       "cold panel " + std::to_string(a.panel) + " is not");
-    }
-}
-
 class NativeExecDeterminism : public ::testing::Test
 {
   protected:
@@ -657,7 +583,7 @@ TEST_F(NativeExecPlan, AMovedFromGridNeverHits)
     TileGrid b = std::move(a);
     expectHit(statelessRun(*backend, b, p, s));
     EXPECT_TRUE(a.identity().expired());
-    const std::shared_ptr<const exec::CompiledPlan> plan = exec::compile(b, p);
+    const std::shared_ptr<const CompiledPlan> plan = exec::compile(b, p);
     EXPECT_TRUE(plan->compiledFor(b));
     EXPECT_FALSE(plan->compiledFor(a));
 

@@ -16,7 +16,8 @@
  *    deadline timeouts, synchronous shedding.
  *  - ServeDelta: sessions patched by structural and value deltas stay
  *    bit-identical to from-scratch builds, and a session Run executes
- *    the session's own worker formats without rebuilding them.
+ *    the session's own plan, patched or not, without rebuilding or
+ *    recompiling it.
  *  - ServeResident: a handle's fingerprint, grid and formats are built
  *    once and reused by later stateless requests, within a byte budget,
  *    never for another matrix at a freed address, and formats only for
@@ -33,6 +34,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
+#include <latch>
 #include <map>
 #include <memory>
 #include <new>
@@ -1116,13 +1118,14 @@ TEST(ServeDelta, BadDeltaLeavesSessionUsable)
     service.stop();
 }
 
-/** Builds of the two worker formats so far, process-wide. */
-std::pair<uint64_t, uint64_t>
+/** Builds of the two worker formats and compiles so far, process-wide. */
+std::tuple<uint64_t, uint64_t, uint64_t>
 formatBuilds()
 {
     MetricsRegistry& reg = MetricsRegistry::global();
     return {reg.timer("format.tiled_build").snapshot().count(),
-            reg.timer("format.untiled_build").snapshot().count()};
+            reg.timer("format.untiled_build").snapshot().count(),
+            reg.timer("exec.native.compile").snapshot().count()};
 }
 
 TEST(ServeDelta, SessionRunExecutesTheSessionFormats)
@@ -1133,16 +1136,52 @@ TEST(ServeDelta, SessionRunExecutesTheSessionFormats)
     PlanService service(cfg);
     ASSERT_EQ(service.call(sessionPlan(m, 1, "f1")).status,
               ServeStatus::Ok);
-
-    // A session Run executes the formats its HotTiles built once.
-    const auto before = formatBuilds();
-    ServeReply run = service.call(sessionRun(2, "f1", 3));
-    ASSERT_EQ(run.status, ServeStatus::Ok);
-    EXPECT_EQ(formatBuilds(), before)
-        << "a session Run must not rebuild the worker formats";
     KernelConfig k8;
     k8.k = 8;
-    EXPECT_EQ(run.checksum, expectedOkChecksum(*m, k8, 3));
+
+    // A session Run executes the plan its HotTiles built once, and
+    // after a structural delta and a value frame the plan they patched:
+    // no Run builds a format or compiles.
+    auto expectSessionRun = [&](uint64_t id, const CooMatrix& now) {
+        const auto before = formatBuilds();
+        ServeReply run = service.call(sessionRun(id, "f1", id));
+        ASSERT_EQ(run.status, ServeStatus::Ok);
+        EXPECT_EQ(formatBuilds(), before)
+            << "a session Run must not rebuild or recompile the formats";
+        EXPECT_EQ(run.checksum, expectedOkChecksum(now, k8, id));
+    };
+    expectSessionRun(2, *m);
+
+    const DeltaBatch d = genDeltaBatch(*m, 6, 6, 23);
+    DeltaFrame structural;
+    structural.batch = d;
+    ASSERT_EQ(service.call(deltaRequest(6, "f1", structural)).status,
+              ServeStatus::Ok);
+    const CooMatrix patched = applyDeltaToCoo(*m, d);
+    expectSessionRun(7, patched);
+
+    // Every 7th nonzero, cold and hot ones among them.
+    DeltaFrame values;
+    for (size_t i = 0; i < patched.nnz(); i += 7)
+        values.updates.push(patched.rowId(i), patched.colId(i),
+                            Value(i % 11) - 5.5f);
+    {
+        service.drain();
+        const auto live = service.sessionState("default", "f1");
+        ASSERT_TRUE(live);
+        size_t cold = 0;
+        for (size_t i = 0; i < values.updates.size(); ++i) {
+            size_t tile = 0;
+            live->grid().findNonzero(values.updates.rows[i],
+                                     values.updates.cols[i], &tile);
+            cold += !live->partition().is_hot[tile];
+        }
+        ASSERT_GT(cold, 0u);
+        ASSERT_LT(cold, values.updates.size());
+    }
+    ASSERT_EQ(service.call(deltaRequest(8, "f1", values)).status,
+              ServeStatus::Ok);
+    expectSessionRun(9, applyValueUpdatesToCoo(patched, values.updates));
 
     // The probe is live: the first stateless Run of the matrix builds
     // both lists for its handle, and a second Run builds nothing.
@@ -1150,8 +1189,8 @@ TEST(ServeDelta, SessionRunExecutesTheSessionFormats)
     ServeReply stateless = service.call(runRequest(m, 4));
     ASSERT_EQ(stateless.status, ServeStatus::Ok);
     const auto first = formatBuilds();
-    EXPECT_EQ(first.first, unbuilt.first + 1);
-    EXPECT_EQ(first.second, unbuilt.second + 1);
+    EXPECT_EQ(std::get<0>(first), std::get<0>(unbuilt) + 1);
+    EXPECT_EQ(std::get<1>(first), std::get<1>(unbuilt) + 1);
     ServeReply again = service.call(runRequest(m, 5));
     ASSERT_EQ(again.status, ServeStatus::Ok);
     EXPECT_EQ(formatBuilds(), first)
@@ -1231,7 +1270,7 @@ residentProbe()
     p.evict = reg.counter("serve.resident.evict").value();
     p.fingerprints = reg.timer("serve.fingerprint").snapshot().count();
     p.grids = reg.timer("serve.tile_grid").snapshot().count();
-    std::tie(p.tiled, p.untiled) = formatBuilds();
+    std::tie(p.tiled, p.untiled, std::ignore) = formatBuilds();
     return p;
 }
 
@@ -1496,12 +1535,18 @@ TEST(ServeCoalesce, IdenticalConcurrentRunsBuildOnce)
     std::condition_variable cv;
     int pending = 0;
     std::vector<ServeReply> replies;
+    // The blocker's reply runs on the only worker before it can pop the
+    // leader twin, so holding it there until every twin is submitted
+    // queues the leader and its five joiners before any of them runs.
+    std::latch twins_queued(1);
     auto submit = [&](ServeRequest req) {
         {
             std::lock_guard<std::mutex> lock(mu);
             ++pending;
         }
         service.submit(std::move(req), [&](const ServeReply& r) {
+            if (r.id >= 100)
+                twins_queued.wait();
             std::lock_guard<std::mutex> lock(mu);
             replies.push_back(r);
             --pending;
@@ -1509,12 +1554,11 @@ TEST(ServeCoalesce, IdenticalConcurrentRunsBuildOnce)
         });
     };
 
-    // The blocker occupies the only worker, so the leader twin and its
-    // five joiners are all enqueued before any of them runs.
     submit(runRequest(blocker_m, 100));
     const int kTwins = 6;
     for (int i = 0; i < kTwins; ++i)
         submit(runRequest(m, static_cast<uint64_t>(i + 1)));
+    twins_queued.count_down();
     {
         std::unique_lock<std::mutex> lock(mu);
         cv.wait(lock, [&] { return pending == 0; });

@@ -772,8 +772,9 @@ cmdRun(const Options& o)
               << policy << " kernels, tier "
               << kernels::tierName(kernels::activeTier()) << ")\n";
     exec::ExecReport rep;
-    DenseMatrix out = backend->run(grid, p, ht.hotFormat(), ht.coldFormat(),
-                                   opts.kernel, din, &rep);
+    DenseMatrix out =
+        DenseMatrix::uninitialized(grid.matrixRows(), opts.kernel.k);
+    backend->run(grid, ht.plan(), opts.kernel, din, out, &rep);
     if (o.corrupt_output && out.rows() > 0 && out.cols() > 0)
         out.at(0, 0) += Value(1);
 
@@ -934,9 +935,10 @@ cmdUpdate(const Options& o)
 
         bool identical = samePreprocessedState(ht, fresh);
         if (identical) {
-            DenseMatrix out_inc = exec::makeNativeCpuBackend()->run(
-                ht.grid(), ht.partition(), ht.hotFormat(), ht.coldFormat(),
-                opts.kernel, din);
+            DenseMatrix out_inc =
+                DenseMatrix::uninitialized(m.rows(), opts.kernel.k);
+            exec::makeNativeCpuBackend()->run(ht.grid(), ht.plan(),
+                                              opts.kernel, din, out_inc);
             DenseMatrix out_fresh = exec::referenceExecute(
                 fresh.grid(), fresh.partition(), opts.kernel, din);
             identical =
